@@ -26,7 +26,7 @@ from .commitment import (
 from .counting import (
     CountEstimate,
     CountingParams,
-    build_grover_iterate,
+    GroverIterate,
     build_state_preparation,
     error_bound,
     quantum_count,

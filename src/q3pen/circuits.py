@@ -11,16 +11,19 @@ Three builders cover the quantum side of the price comparison:
   whole superposition produced by the two price oracles.
 
 All circuits are built from NOT gates with mixed-polarity controls, so every
-circuit is its own gate-by-gate inverse when reversed.
+circuit is a permutation of basis states and is inverted by reversing its
+gate list.  A circuit runs as that permutation: it is compiled once per
+array size into one index array and applied as a single gather.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevec import Gate, RegisterLayout, StateVector, apply_gate_inplace
+from .statevec import KIND_NOT, Gate, RegisterLayout, StateVector
 
 
 def classical_f(a: int, b: int) -> int:
@@ -30,6 +33,13 @@ def classical_f(a: int, b: int) -> int:
 
 # ---------------------------------------------------------------------------
 # scenarios
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -46,10 +56,11 @@ class PriceScenario:
     epsilon: int
 
     def __post_init__(self):
-        A = tuple(int(a) for a in self.A)
-        B = tuple(int(b) for b in self.B)
+        A = tuple(as_int(a, "price") for a in self.A)
+        B = tuple(as_int(b, "price") for b in self.B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "epsilon", as_int(self.epsilon, "threshold"))
         if len(A) == 0 or len(A) != len(B):
             raise ValueError(f"price lists must be equal-length and non-empty: {len(A)} vs {len(B)}")
         if any(p < 0 for p in A + B):
@@ -76,11 +87,6 @@ def brute_force_count(scenario: PriceScenario) -> int:
     return sum(classical_f(a, b) for a, b in zip(scenario.A, scenario.B))
 
 
-def comparator_ancilla_width(d: int) -> int:
-    """Scratch qubits the comparator needs for a d-bit price register."""
-    return d
-
-
 def announcement_layout(scenario: PriceScenario, owner: str) -> RegisterLayout:
     """Layout of the (n+d)-qubit state a party announces: index + own price."""
     price = "priceA" if owner == "alice" else "priceB"
@@ -101,7 +107,7 @@ def comparison_layout(scenario: PriceScenario, announced_by: str, t: int = 0) ->
         (first, scenario.d),
         (second, scenario.d),
         ("flag", 1),
-        ("ancilla", comparator_ancilla_width(scenario.d)),
+        ("ancilla", scenario.d),  # the comparator's scratch: one qubit per price bit
     ]
     if t > 0:
         segs.append(("counting", t))
@@ -114,7 +120,7 @@ def comparison_layout(scenario: PriceScenario, announced_by: str, t: int = 0) ->
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable ordered gate list over a register layout.
+    """Immutable ordered list of NOT gates over a register layout.
 
     If ``ancilla`` names a segment, the circuit promises to return it to
     |0...0> on every computational-basis input that enters with it zeroed
@@ -130,6 +136,8 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
+            if g.kind != KIND_NOT:
+                raise ValueError(f"circuits are permutations of basis states; got a {g.kind} gate")
             if g.max_qubit() >= self.layout.num_qubits:
                 raise ValueError(f"gate touches qubit {g.max_qubit()} outside layout ({self.layout})")
 
@@ -142,37 +150,29 @@ class Circuit:
 
     # -- application ----------------------------------------------------
 
-    def _compile(self, dim: int):
-        """Precompute index arrays per gate; amortized over repeated applies."""
-        ops = self._compiled.get(dim)
-        if ops is None:
-            ops = []
-            for g in self.gates:
-                mask = np.nonzero(_gate_mask(g, dim))[0]
-                i1 = mask | (1 << g.target)
-                if g.kind == "not":
-                    ops.append(("swap", mask, i1, None))
-                elif g.kind == "phase":
-                    ops.append(("scale", None, i1, np.exp(1j * g.angle)))
-                else:
-                    ops.append(("mix", mask, i1, g.matrix))
-            self._compiled[dim] = ops
-        return ops
+    def permutation(self, dim: int) -> np.ndarray:
+        """Source index of every output amplitude: ``out[y] = in[perm[y]]``.
+
+        Compiled once per array size.  A NOT gate is an involution on basis
+        indices, so for gates g_1..g_k applied in order the source of ``y``
+        is ``g_1(g_2(...g_k(y)))``: the gates are folded in reverse.
+        """
+        perm = self._compiled.get(dim)
+        if perm is None:
+            # built in 32 bits (half the memory traffic), gathered with intp
+            perm = np.arange(dim, dtype=np.uint32 if dim <= 1 << 32 else np.uint64)
+            for g in reversed(self.gates):
+                mask = value = 0
+                for qubit, polarity in g.controls:
+                    mask |= 1 << qubit
+                    value |= polarity << qubit
+                perm ^= ((perm & mask) == value).astype(perm.dtype) << g.target
+            perm = self._compiled[dim] = perm.astype(np.intp)
+        return perm
 
     def apply_to_array(self, amplitudes: np.ndarray) -> None:
-        """Run the circuit on a raw amplitude array, in place (hot path)."""
-        for op, i0, i1, extra in self._compile(amplitudes.size):
-            if op == "swap":
-                a = amplitudes[i0]
-                amplitudes[i0] = amplitudes[i1]
-                amplitudes[i1] = a
-            elif op == "scale":
-                amplitudes[i1] *= extra
-            else:
-                a0 = amplitudes[i0]
-                a1 = amplitudes[i1]
-                amplitudes[i0] = extra[0, 0] * a0 + extra[0, 1] * a1
-                amplitudes[i1] = extra[1, 0] * a0 + extra[1, 1] * a1
+        """Run the circuit on a raw amplitude array, in place (one gather)."""
+        amplitudes[:] = amplitudes[self.permutation(amplitudes.size)]
 
     def apply(self, state: StateVector) -> StateVector:
         if state.num_qubits != self.layout.num_qubits:
@@ -182,14 +182,6 @@ class Circuit:
         amps = state.amplitudes.copy()
         self.apply_to_array(amps)
         return StateVector(state.num_qubits, amps)
-
-
-def _gate_mask(gate: Gate, dim: int) -> np.ndarray:
-    idx = np.arange(dim)
-    mask = (idx >> gate.target) & 1 == 0
-    for qubit, polarity in gate.controls:
-        mask &= ((idx >> qubit) & 1) == polarity
-    return mask
 
 
 def build_price_oracle(prices, layout: RegisterLayout, target: str) -> Circuit:
@@ -233,8 +225,8 @@ def build_comparator(d: int, layout: RegisterLayout) -> Circuit:
         raise ValueError(f"price registers are {a.width}/{b.width} bits, expected {d}")
     if flag.width != 1:
         raise ValueError("flag segment must be a single qubit")
-    if "ancilla" not in layout or layout["ancilla"].width < comparator_ancilla_width(d):
-        raise ValueError(f"comparator needs {comparator_ancilla_width(d)} ancilla qubits")
+    if "ancilla" not in layout or layout["ancilla"].width < d:
+        raise ValueError(f"comparator needs {d} ancilla qubits")
     anc = layout["ancilla"]
     less = anc.offset           # accumulates a < b
     eq = lambda k: anc.offset + k  # "bits d-1..k of a and b agree", k in 1..d-1

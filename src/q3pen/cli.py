@@ -24,7 +24,7 @@ import json
 import sys
 
 from . import analysis, commitment, protocol
-from .circuits import PriceScenario
+from .circuits import PriceScenario, as_int
 from .counting import CountingParams
 from .statevec import CapacityError, DEFAULT_MAX_QUBITS
 
@@ -42,16 +42,25 @@ def scenario_from_dict(doc: dict) -> tuple[PriceScenario, dict]:
     for key in ("A", "B", "epsilon"):
         if key not in doc:
             raise ValueError(f"scenario file is missing field {key!r}")
-    scenario = PriceScenario(A=tuple(doc["A"]), B=tuple(doc["B"]), epsilon=int(doc["epsilon"]))
-    if "N" in doc and int(doc["N"]) != scenario.N:
+    for key in ("A", "B"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"field {key!r} must be a list of prices")
+    scenario = PriceScenario(A=tuple(doc["A"]), B=tuple(doc["B"]), epsilon=doc["epsilon"])
+    if "N" in doc and as_int(doc["N"], "N") != scenario.N:
         raise ValueError(f"declared N={doc['N']} but A/B have {scenario.N} entries")
     counting = doc.get("counting", {})
     com = doc.get("commitment", {})
+    for key, block in (("counting", counting), ("commitment", com)):
+        if not isinstance(block, dict):
+            raise ValueError(f"option block {key!r} must be a JSON object, got {block!r}")
+    c = com.get("c", DEFAULTS["c"])
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ValueError(f"commitment.c must be a number, got {c!r}")
     options = {
-        "t": int(counting.get("t", DEFAULTS["t"])),
-        "shots": int(counting.get("shots", DEFAULTS["shots"])),
-        "c": float(com.get("c", DEFAULTS["c"])),
-        "seed": int(doc.get("seed", DEFAULTS["seed"])),
+        "t": as_int(counting.get("t", DEFAULTS["t"]), "counting.t"),
+        "shots": as_int(counting.get("shots", DEFAULTS["shots"]), "counting.shots"),
+        "c": float(c),
+        "seed": as_int(doc.get("seed", DEFAULTS["seed"]), "seed"),
     }
     return scenario, options
 

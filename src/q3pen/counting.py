@@ -22,10 +22,14 @@ trusted from any single statement of the algorithm.  Outcomes ``omega`` and
 Because the uniform superposition over index values 1..N has no natural
 gate construction for general N, ``A`` is realized as a Householder
 reflection on the index register (exactly self-inverse) followed by the
-oracle circuits.  Phase estimation is simulated by expanding the joint
-state over the counting register into rows ``Q^k |psi>`` and applying the
-inverse quantum Fourier transform as an FFT along the counting axis, which
-is arithmetically identical to the gate-level circuit.
+oracle circuits, which are fused into one basis-state permutation.  An
+iterate is therefore two sign flips, two gathers and two small matmuls.
+Phase estimation is simulated by expanding the joint state over the
+counting register into rows ``Q^k |psi>`` and applying the inverse quantum
+Fourier transform as an FFT along the counting axis, which is
+arithmetically identical to the gate-level circuit.  Only the columns that
+hold amplitude in some row (the support) are transformed: a column that is
+zero in every row transforms to zero.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import circuits
 from .circuits import PriceScenario
-from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, prepare_basis
+from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, prepare_basis, sample_outcomes
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,10 @@ class StatePreparation:
 
     Composition: a Householder reflection rotates the index register from
     |0...0> onto the uniform superposition over values 1..N, then the two
-    price oracles and the flag oracle run.  The reflection is self-inverse
-    and all oracle gates are self-inverse NOTs, so the exact inverse is the
-    mirrored sequence.
+    price oracles and the flag oracle run.  The oracles are fused into one
+    basis-state permutation, applied as a gather; the reflection is
+    self-inverse, so the exact inverse is the inverse gather followed by the
+    reflection.
 
     The ``*_to_array`` methods may hand back a different array than they
     were given (the index rotation is a reshape-matmul); always use the
@@ -84,39 +89,36 @@ class StatePreparation:
     """
 
     def __init__(self, layout, index_matrix: np.ndarray, oracle_circuits):
-        self.layout = layout
-        self.num_qubits = layout.num_qubits
-        self._index_matrix = index_matrix
-        self._index_width = layout["index"].width
-        self._circuits = tuple(oracle_circuits)
-        self._inverses = tuple(c.inverse() for c in reversed(self._circuits))
         if layout["index"].offset != 0:
             raise ValueError("index register must start at qubit 0")
+        self.layout = layout
+        self.num_qubits = layout.num_qubits
+        # right-hand operands of the index-register matmul, cast once
+        self._forward = index_matrix.T.astype(np.complex128)
+        self._backward = index_matrix.conj().astype(np.complex128)
+        self._index_width = layout["index"].width
+        dim = 1 << self.num_qubits
+        perm = np.arange(dim)
+        for c in oracle_circuits:
+            perm = perm[c.permutation(dim)]
+        self._perm = perm
+        self._inverse_perm = np.empty_like(perm)
+        self._inverse_perm[perm] = np.arange(dim)
 
-    def _apply_index_matrix(self, amps: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    def _apply_index_matrix(self, amps: np.ndarray, operand: np.ndarray) -> np.ndarray:
         block = 1 << self._index_width
-        return (amps.reshape(-1, block) @ matrix.T).reshape(-1)
+        return (amps.reshape(-1, block) @ operand).reshape(-1)
 
     def apply_to_array(self, amps: np.ndarray) -> np.ndarray:
-        amps = self._apply_index_matrix(amps, self._index_matrix)
-        for c in self._circuits:
-            c.apply_to_array(amps)
-        return amps
+        return self._apply_index_matrix(amps, self._forward)[self._perm]
 
     def inverse_to_array(self, amps: np.ndarray) -> np.ndarray:
-        for c in self._inverses:
-            c.apply_to_array(amps)
-        return self._apply_index_matrix(amps, self._index_matrix.conj().T)
+        return self._apply_index_matrix(amps[self._inverse_perm], self._backward)
 
     def apply(self, state: StateVector) -> StateVector:
         if state.num_qubits != self.num_qubits:
             raise ValueError("state size does not match the preparation layout")
         return StateVector(self.num_qubits, self.apply_to_array(state.amplitudes.copy()))
-
-    def apply_inverse(self, state: StateVector) -> StateVector:
-        if state.num_qubits != self.num_qubits:
-            raise ValueError("state size does not match the preparation layout")
-        return StateVector(self.num_qubits, self.inverse_to_array(state.amplitudes.copy()))
 
 
 def uniform_index_unitary(n: int, N: int) -> np.ndarray:
@@ -174,10 +176,11 @@ class GroverIterate:
         self.flag_qubit = flag_qubit
         self.num_qubits = state_prep.num_qubits
         idx = np.arange(1 << self.num_qubits)
-        self._flag_set = ((idx >> flag_qubit) & 1) == 1
+        self._flag_sign = np.where((idx >> flag_qubit) & 1, -1.0, 1.0)
 
     def apply_to_array(self, amps: np.ndarray) -> np.ndarray:
-        amps[self._flag_set] *= -1.0          # S_f
+        """Q on a raw amplitude array; returns a new array, ``amps`` is kept."""
+        amps = amps * self._flag_sign         # S_f
         amps = self.state_prep.inverse_to_array(amps)
         amps[0] *= -1.0                       # S_0
         return self.state_prep.apply_to_array(amps)
@@ -186,21 +189,6 @@ class GroverIterate:
         if state.num_qubits != self.num_qubits:
             raise ValueError("state size does not match the iterate")
         return StateVector(self.num_qubits, self.apply_to_array(state.amplitudes.copy()))
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix of Q; only sensible at small sizes (<= ~10 qubits)."""
-        if self.num_qubits > 12:
-            raise CapacityError("dense iterate matrix limited to 12 qubits")
-        dim = 1 << self.num_qubits
-        cols = np.eye(dim, dtype=np.complex128)
-        out = np.empty_like(cols)
-        for j in range(dim):
-            out[:, j] = self.apply_to_array(cols[:, j].copy())
-        return out
-
-
-def build_grover_iterate(state_prep: StatePreparation, flag_qubit: int) -> GroverIterate:
-    return GroverIterate(state_prep, flag_qubit)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +244,12 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
     rows = np.empty((1 << t, dim), dtype=np.complex128)
     rows[0] = prep.apply_to_array(prepare_basis(prep.num_qubits, 0).amplitudes.copy())
     for k in range(1, 1 << t):
-        rows[k] = iterate.apply_to_array(rows[k - 1].copy())
-    rows = np.fft.fft(rows, axis=0, norm="forward")  # inverse QFT on the counting register
-    probs = np.einsum("ij,ij->i", rows, rows.conj()).real
+        rows[k] = iterate.apply_to_array(rows[k - 1])
+    # Inverse QFT on the counting register.  A column that is zero in every
+    # row transforms to zero, so only the support needs the FFT.
+    support = rows[:, np.flatnonzero(rows.any(axis=0))]
+    support = np.fft.fft(support, axis=0, norm="forward")
+    probs = np.einsum("ij,ij->i", support, support.conj()).real
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"phase distribution sums to {total}, not 1")
@@ -276,13 +267,9 @@ def quantum_count(scenario: PriceScenario, params: CountingParams = CountingPara
     for fixed inputs.
     """
     probs = phase_register_distribution(scenario, params.t, announced_by, max_qubits)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
     children = np.random.SeedSequence(params.rng_seed).spawn(params.shots)
-    outcomes = tuple(
-        int(np.searchsorted(cdf, np.random.default_rng(child).random(), side="right"))
-        for child in children
-    )
+    uniforms = [np.random.default_rng(child).random() for child in children]
+    outcomes = tuple(int(w) for w in sample_outcomes(probs, uniforms))
     thetas = sorted(outcome_to_theta(w, params.t) for w in outcomes)
     theta_hat = float(np.median(thetas))
     m_hat = theta_to_count(theta_hat, scenario.N)

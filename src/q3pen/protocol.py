@@ -48,6 +48,7 @@ from .statevec import (
     extend_with_zeros,
     measure,
     prepare_amplitudes,
+    sample_outcomes,
 )
 
 TRANSCRIPT_SCHEMA = "q3pen.transcript/1"
@@ -215,17 +216,14 @@ def prepare_announced_state(scenario: PriceScenario, owner: str) -> StateVector:
     return oracle.apply(state)
 
 
-def _extend_and_compare(scenario: PriceScenario, announced_by: str,
-                        state: StateVector) -> tuple[StateVector, StateVector]:
-    """Steps 2 and 3 on a received state: load own prices, then the flag."""
+def _extend_and_load(scenario: PriceScenario, announced_by: str,
+                     state: StateVector) -> StateVector:
+    """Step 2 on a received state: extend it and load the receiver's prices."""
     layout = circuits.comparison_layout(scenario, announced_by)
     state = extend_with_zeros(state, layout.num_qubits - state.num_qubits)
     receiver_prices = scenario.B if announced_by == "alice" else scenario.A
     receiver_target = "priceB" if announced_by == "alice" else "priceA"
-    second_oracle = circuits.build_price_oracle(receiver_prices, layout, receiver_target)
-    after_load = second_oracle.apply(state)
-    flagged = circuits.build_flag_oracle(layout).apply(after_load)
-    return after_load, flagged
+    return circuits.build_price_oracle(receiver_prices, layout, receiver_target).apply(state)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,8 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
                                    qubit_cost=state.num_qubits, cbit_cost=0, payload=state))
     transcript.timings[1] = clock() - t0
 
-    # A measuring adversary strikes on receipt, before doing any work.
+    # Step 2: a measuring adversary strikes on receipt, before doing any
+    # work; then each receiver extends the state and loads its own prices.
     t0 = clock()
     if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE:
         victim = "alice" if cheater.role == "bob" else "bob"
@@ -336,12 +335,17 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
         learned_price = outcome >> idx_width
         transcript.adversary["learned"] = {"index": learned_index, "price": learned_price}
 
-    # Steps 2-3: second oracle, then the comparison flag.
-    held = {}
-    for announced_by, holder in (("alice", "bob"), ("bob", "alice")):
-        _loaded, flagged = _extend_and_compare(scenario, announced_by, announced[announced_by])
-        held[holder] = flagged
-    transcript.timings[2] = transcript.timings[3] = (clock() - t0) / 2.0
+    loaded = {announced_by: _extend_and_load(scenario, announced_by, state)
+              for announced_by, state in announced.items()}
+    transcript.timings[2] = clock() - t0
+
+    # Step 3: each receiver writes the comparison flag.
+    t0 = clock()
+    held = {}  # keyed by the party that announced the state
+    for announced_by, state in loaded.items():
+        layout = circuits.comparison_layout(scenario, announced_by)
+        held[announced_by] = circuits.build_flag_oracle(layout).apply(state)
+    transcript.timings[3] = clock() - t0
 
     # Step 4: independent counting runs.  t_B is the seller's estimate made
     # on the buyer-announced state, and vice versa.
@@ -465,11 +469,8 @@ def measurement_attack_statistics(scenario: PriceScenario, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     state = prepare_announced_state(scenario, victim)
-    probs = state.probabilities()
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    outcomes = np.searchsorted(cdf, rng.random(trials), side="right")
+    outcomes = sample_outcomes(state.probabilities(), rng.random(trials))
 
     prices = scenario.A if victim == "alice" else scenario.B
     mask = (1 << scenario.n) - 1

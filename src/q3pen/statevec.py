@@ -311,6 +311,14 @@ def _segment_bounds(segment) -> tuple[int, int]:
     return int(offset), int(width)
 
 
+def sample_outcomes(probs: np.ndarray, uniforms):
+    """Inverse-CDF sampling: the outcome for each uniform in [0, 1); ``probs``
+    need not be normalized."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, uniforms, side="right")
+
+
 def measure(state: StateVector, segment, rng=0) -> tuple[int, StateVector]:
     """Projectively measure one register segment.
 
@@ -331,10 +339,7 @@ def measure(state: StateVector, segment, rng=0) -> tuple[int, StateVector]:
     values = (idx >> offset) & ((1 << width) - 1)
     weights = state.probabilities()
     probs = np.bincount(values, weights=weights, minlength=1 << width)
-    probs = np.clip(probs, 0.0, None)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    outcome = int(np.searchsorted(cdf, gen.random(), side="right"))
+    outcome = int(sample_outcomes(np.clip(probs, 0.0, None), gen.random()))
 
     amps = np.where(values == outcome, state.amplitudes, 0.0)
     norm = np.linalg.norm(amps)

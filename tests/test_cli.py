@@ -67,6 +67,31 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     assert code == 2 and "scenario file" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(WORKED_EXAMPLE, counting=5), "'counting' must be a JSON object"),
+    (dict(WORKED_EXAMPLE, commitment=[2]), "'commitment' must be a JSON object"),
+    (dict(WORKED_EXAMPLE, counting="t=6"), "'counting' must be a JSON object"),
+    ({"A": [1.7, 2, True], "B": [1, 2, 1], "epsilon": 1}, "price must be an integer, got 1.7"),
+    ({"A": [1, 2, True], "B": [1, 2, 1], "epsilon": 1}, "price must be an integer, got True"),
+    ({"A": [1, 2, 1], "B": [1, "2", 1], "epsilon": 1}, "price must be an integer, got '2'"),
+    ({"A": [1, 2, 1], "B": [1, 2, 1], "epsilon": 1.9}, "threshold must be an integer, got 1.9"),
+    ({"A": [1, 2, 1], "B": [1, 2, 1], "epsilon": False}, "threshold must be an integer"),
+    ({"A": 7, "B": [1], "epsilon": 1}, "'A' must be a list"),
+    (dict(WORKED_EXAMPLE, N=6.0), "N must be an integer"),
+    (dict(WORKED_EXAMPLE, counting={"t": 6.5}), "counting.t must be an integer"),
+    (dict(WORKED_EXAMPLE, counting={"shots": True}), "counting.shots must be an integer"),
+    (dict(WORKED_EXAMPLE, commitment={"c": "2"}), "commitment.c must be a number"),
+    (dict(WORKED_EXAMPLE, seed=4.2), "seed must be an integer"),
+])
+def test_run_rejects_non_integer_and_non_object_fields(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_run_capacity_exit_code(scenario_file, capsys):
     code, _, err = run_cli(capsys, "run", scenario_file, "--max-qubits", "10")
     assert code == 3

@@ -7,7 +7,7 @@ from conftest import random_scenario
 from q3pen.circuits import PriceScenario, brute_force_count
 from q3pen.counting import (
     CountingParams,
-    build_grover_iterate,
+    GroverIterate,
     build_state_preparation,
     error_bound,
     outcome_to_theta,
@@ -42,7 +42,7 @@ def test_iterate_on_unmarked_state_is_global_phase():
     # nothing marked: Q acts as -identity on the prepared state
     sc = PriceScenario(A=(0, 0, 0), B=(1, 1, 1), epsilon=1)
     prep = build_state_preparation(sc)
-    q = build_grover_iterate(prep, prep.layout["flag"].offset)
+    q = GroverIterate(prep, prep.layout["flag"].offset)
     psi = prep.apply(prepare_basis(prep.num_qubits, 0))
     out = q.apply(psi)
     phase = np.vdot(psi.amplitudes, out.amplitudes)
@@ -54,7 +54,7 @@ def test_iterate_rotation_angle_matches_marked_fraction(worked_example):
     # weight of the marked subspace after k iterations follows
     # sin^2((2k+1) theta) with sin^2(theta) = M/N = 5/6
     prep = build_state_preparation(worked_example)
-    q = build_grover_iterate(prep, prep.layout["flag"].offset)
+    q = GroverIterate(prep, prep.layout["flag"].offset)
     theta = math.asin(math.sqrt(5 / 6))
     state = prep.apply(prepare_basis(prep.num_qubits, 0))
     assert marked_weight(prep, state) == pytest.approx(5 / 6, abs=1e-9)
@@ -67,8 +67,9 @@ def test_iterate_rotation_angle_matches_marked_fraction(worked_example):
 def test_iterate_power_matches_dense_matrix_power():
     sc = PriceScenario(A=(1, 0), B=(0, 1), epsilon=1)  # 6 system qubits
     prep = build_state_preparation(sc)
-    q = build_grover_iterate(prep, prep.layout["flag"].offset)
-    mat = q.to_matrix()
+    q = GroverIterate(prep, prep.layout["flag"].offset)
+    mat = np.stack([q.apply_to_array(col) for col in np.eye(1 << q.num_qubits, dtype=complex)],
+                   axis=1)
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) < 1e-9
     power = np.linalg.matrix_power(mat, 16)
     psi = prep.apply(prepare_basis(prep.num_qubits, 0)).amplitudes
@@ -80,13 +81,13 @@ def test_iterate_power_matches_dense_matrix_power():
 
 def test_iterate_requires_invertible_preparation():
     with pytest.raises(ValueError):
-        build_grover_iterate(object(), 0)
+        GroverIterate(object(), 0)
 
 
 def test_iterate_rejects_bad_flag_qubit(worked_example):
     prep = build_state_preparation(worked_example)
     with pytest.raises(ValueError):
-        build_grover_iterate(prep, prep.num_qubits + 3)
+        GroverIterate(prep, prep.num_qubits + 3)
 
 
 # ---------------------------------------------------------------------------

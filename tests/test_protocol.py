@@ -6,6 +6,7 @@ import pytest
 from conftest import random_scenario
 from q3pen.circuits import PriceScenario, brute_force_count
 from q3pen.commitment import empirical_accept_rate, fingerprint_state, parity_repetition_code
+from q3pen import protocol
 from q3pen.counting import CountingParams
 from q3pen.protocol import (
     ChannelMessage,
@@ -76,12 +77,19 @@ def test_transcript_deterministic_per_seed(worked_example):
     assert a != c
 
 
-def test_transcript_timings_recorded(worked_example):
+def test_transcript_timings_recorded(worked_example, monkeypatch):
     tr = run_negotiation(worked_example, PARAMS, master_seed=1)
     assert set(tr.timings) == {1, 2, 3, 4, 5, 6}
     assert all(v >= 0 for v in tr.timings.values())
     # wall times stay out of the serialized form
     assert "timings" not in tr.to_dict()
+    # each step is its own measurement: with a clock that advances one unit
+    # per reading, every step (Steps 2 and 3 included) spans exactly one unit
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(protocol.time, "perf_counter", lambda: float(next(ticks)))
+    for tr in (run_negotiation(worked_example, PARAMS, master_seed=1),
+               run_with_adversary(worked_example, "bob", "measure-and-cheat", PARAMS)):
+        assert tr.timings == {step: 1.0 for step in range(1, 7)}
 
 
 # ---------------------------------------------------------------------------
