@@ -12,14 +12,17 @@ Three builders cover the quantum side of the price comparison:
 
 All circuits are built from NOT gates with mixed-polarity controls, so every
 circuit is a permutation of basis states and is inverted by reversing its
-gate list.  A circuit runs as that permutation: it is compiled once per
-array size into one index array and applied as a single gather.
+gate list.  ``Circuit.images`` runs the gates, in order, on an array of
+basis indices and returns where each one lands.  Applying a circuit to an
+amplitude array moves only its support (the nonzero amplitudes) to their
+images, which is exact; a protocol state has few nonzero amplitudes among
+the ``2**work`` it is stored in.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,7 +134,6 @@ class Circuit:
     layout: RegisterLayout
     ancilla: str | None = None
     name: str = ""
-    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -150,29 +152,27 @@ class Circuit:
 
     # -- application ----------------------------------------------------
 
-    def permutation(self, dim: int) -> np.ndarray:
-        """Source index of every output amplitude: ``out[y] = in[perm[y]]``.
-
-        Compiled once per array size.  A NOT gate is an involution on basis
-        indices, so for gates g_1..g_k applied in order the source of ``y``
-        is ``g_1(g_2(...g_k(y)))``: the gates are folded in reverse.
-        """
-        perm = self._compiled.get(dim)
-        if perm is None:
-            # built in 32 bits (half the memory traffic), gathered with intp
-            perm = np.arange(dim, dtype=np.uint32 if dim <= 1 << 32 else np.uint64)
-            for g in reversed(self.gates):
-                mask = value = 0
-                for qubit, polarity in g.controls:
-                    mask |= 1 << qubit
-                    value |= polarity << qubit
-                perm ^= ((perm & mask) == value).astype(perm.dtype) << g.target
-            perm = self._compiled[dim] = perm.astype(np.intp)
-        return perm
+    def images(self, indices) -> np.ndarray:
+        """Basis index each input index is sent to, the gates run in order."""
+        x = np.array(indices, dtype=np.intp)
+        for g in self.gates:
+            mask = value = 0
+            for qubit, polarity in g.controls:
+                mask |= 1 << qubit
+                value |= polarity << qubit
+            x ^= ((x & mask) == value).astype(np.intp) << g.target
+        return x
 
     def apply_to_array(self, amplitudes: np.ndarray) -> None:
-        """Run the circuit on a raw amplitude array, in place (one gather)."""
-        amplitudes[:] = amplitudes[self.permutation(amplitudes.size)]
+        """Run the circuit on a raw amplitude array, in place.
+
+        Only the nonzero amplitudes move, each to the image of its index;
+        the circuit is a permutation, so this is exact.
+        """
+        support = np.flatnonzero(amplitudes)
+        values = amplitudes[support]
+        amplitudes[support] = 0.0
+        amplitudes[self.images(support)] = values
 
     def apply(self, state: StateVector) -> StateVector:
         if state.num_qubits != self.layout.num_qubits:

@@ -35,6 +35,14 @@ EXIT_CAPACITY = 3
 DEFAULTS = {"t": 6, "shots": 11, "c": 2.0, "seed": 42}
 
 
+def _seed(value, what: str) -> int:
+    """A master seed: a non-negative integer (numpy seeds accept no other)."""
+    seed = as_int(value, what)
+    if seed < 0:
+        raise ValueError(f"{what} must be non-negative, got {seed}")
+    return seed
+
+
 def scenario_from_dict(doc: dict) -> tuple[PriceScenario, dict]:
     """Parse a scenario document; returns the scenario and its option blocks."""
     if not isinstance(doc, dict):
@@ -60,7 +68,7 @@ def scenario_from_dict(doc: dict) -> tuple[PriceScenario, dict]:
         "t": as_int(counting.get("t", DEFAULTS["t"]), "counting.t"),
         "shots": as_int(counting.get("shots", DEFAULTS["shots"]), "counting.shots"),
         "c": float(c),
-        "seed": as_int(doc.get("seed", DEFAULTS["seed"]), "seed"),
+        "seed": _seed(doc.get("seed", DEFAULTS["seed"]), "seed"),
     }
     return scenario, options
 
@@ -87,7 +95,7 @@ def cmd_run(args) -> int:
     if args.shots is not None:
         options["shots"] = args.shots
     if args.seed is not None:
-        options["seed"] = args.seed
+        options["seed"] = _seed(args.seed, "--seed")
 
     params = CountingParams(t=options["t"], shots=options["shots"])
     code = commitment.make_random_code(scenario.n, c=options["c"], seed=options["seed"])

@@ -21,15 +21,22 @@ trusted from any single statement of the algorithm.  Outcomes ``omega`` and
 
 Because the uniform superposition over index values 1..N has no natural
 gate construction for general N, ``A`` is realized as a Householder
-reflection on the index register (exactly self-inverse) followed by the
-oracle circuits, which are fused into one basis-state permutation.  An
-iterate is therefore two sign flips, two gathers and two small matmuls.
-Phase estimation is simulated by expanding the joint state over the
-counting register into rows ``Q^k |psi>`` and applying the inverse quantum
-Fourier transform as an FFT along the counting axis, which is
-arithmetically identical to the gate-level circuit.  Only the columns that
-hold amplitude in some row (the support) are transformed: a column that is
-zero in every row transforms to zero.
+reflection ``W`` on the index register (real and self-inverse) followed by
+the oracle circuits, whose composition is a basis-state permutation ``P``:
+``A = P . (W (x) I)``.  ``S_f`` and ``S_0`` are diagonal, so ``Q`` never
+leaves the ``2**n``-dimensional span of the basis states ``P|j, 0...0>``.
+Phase estimation runs in that span: pushing the ``2**n`` index basis states
+through the oracle circuits gives each one's flag bit ``f_j``, and in this
+basis ``Q`` is the ``2**n x 2**n`` matrix ``W . S_0 . W . diag((-1)**f_j)``.
+The joint state over the counting register is expanded into rows
+``Q^k |psi>``, filled by doubling (``rows[m:2m] = rows[:m] . Q^m`` with
+``Q^m`` squared after each step, t products in all), and the inverse
+quantum Fourier transform is applied as an FFT along the counting axis,
+which is arithmetically identical to the gate-level circuit.
+
+``StatePreparation`` and ``GroverIterate`` run ``A`` and ``Q`` on the full
+``2**work``-amplitude register.  The protocol does not use them; they are
+the reference the reduced computation is tested against.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from . import circuits
 from .circuits import PriceScenario
-from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, prepare_basis, sample_outcomes
+from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, sample_outcomes
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,10 @@ class StatePreparation:
 
     Composition: a Householder reflection rotates the index register from
     |0...0> onto the uniform superposition over values 1..N, then the two
-    price oracles and the flag oracle run.  The oracles are fused into one
-    basis-state permutation, applied as a gather; the reflection is
-    self-inverse, so the exact inverse is the inverse gather followed by the
-    reflection.
+    price oracles and the flag oracle run.  The oracles' composed basis map
+    (``images`` of every index) is applied as a gather through its inverse;
+    the reflection is self-inverse, so the exact inverse is a gather through
+    the map itself followed by the reflection.
 
     The ``*_to_array`` methods may hand back a different array than they
     were given (the index rotation is a reshape-matmul); always use the
@@ -98,22 +105,22 @@ class StatePreparation:
         self._backward = index_matrix.conj().astype(np.complex128)
         self._index_width = layout["index"].width
         dim = 1 << self.num_qubits
-        perm = np.arange(dim)
+        images = np.arange(dim)
         for c in oracle_circuits:
-            perm = perm[c.permutation(dim)]
-        self._perm = perm
-        self._inverse_perm = np.empty_like(perm)
-        self._inverse_perm[perm] = np.arange(dim)
+            images = c.images(images)
+        self._images = images
+        self._sources = np.empty_like(images)
+        self._sources[images] = np.arange(dim)
 
     def _apply_index_matrix(self, amps: np.ndarray, operand: np.ndarray) -> np.ndarray:
         block = 1 << self._index_width
         return (amps.reshape(-1, block) @ operand).reshape(-1)
 
     def apply_to_array(self, amps: np.ndarray) -> np.ndarray:
-        return self._apply_index_matrix(amps, self._forward)[self._perm]
+        return self._apply_index_matrix(amps, self._forward)[self._sources]
 
     def inverse_to_array(self, amps: np.ndarray) -> np.ndarray:
-        return self._apply_index_matrix(amps[self._inverse_perm], self._backward)
+        return self._apply_index_matrix(amps[self._images], self._backward)
 
     def apply(self, state: StateVector) -> StateVector:
         if state.num_qubits != self.num_qubits:
@@ -139,6 +146,17 @@ def uniform_index_unitary(n: int, N: int) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v)
 
 
+def comparison_oracles(scenario: PriceScenario, announced_by: str) -> tuple[circuits.Circuit, ...]:
+    """The announcer's price oracle, the receiver's, then the flag oracle,
+    on the comparison layout of the state ``announced_by`` sends."""
+    layout = circuits.comparison_layout(scenario, announced_by)
+    loads = [("priceA", scenario.A), ("priceB", scenario.B)]
+    if announced_by == "bob":
+        loads.reverse()
+    oracles = [circuits.build_price_oracle(prices, layout, target) for target, prices in loads]
+    return (*oracles, circuits.build_flag_oracle(layout))
+
+
 def build_state_preparation(scenario: PriceScenario, announced_by: str = "alice") -> StatePreparation:
     """Preparation of the comparison-ready state announced by one party.
 
@@ -146,17 +164,8 @@ def build_state_preparation(scenario: PriceScenario, announced_by: str = "alice"
     prices loaded first), ``"bob"`` the mirror image; both carry the same
     flag values, so both count the same M.
     """
-    layout = circuits.comparison_layout(scenario, announced_by)
-    first_owner = "priceA" if announced_by == "alice" else "priceB"
-    second_owner = "priceB" if announced_by == "alice" else "priceA"
-    first_prices = scenario.A if announced_by == "alice" else scenario.B
-    second_prices = scenario.B if announced_by == "alice" else scenario.A
-    oracles = (
-        circuits.build_price_oracle(first_prices, layout, first_owner),
-        circuits.build_price_oracle(second_prices, layout, second_owner),
-        circuits.build_flag_oracle(layout),
-    )
-    return StatePreparation(layout, uniform_index_unitary(scenario.n, scenario.N), oracles)
+    oracles = comparison_oracles(scenario, announced_by)
+    return StatePreparation(oracles[0].layout, uniform_index_unitary(scenario.n, scenario.N), oracles)
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +235,44 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
                                 max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Outcome probabilities of the t-qubit phase register.
 
-    Expands the joint state row by row (row k holds Q^k |psi>) and applies
-    the inverse Fourier transform along the counting axis; the squared row
-    norms are exactly the measurement distribution of the gate-level
-    circuit.
+    Works in the span of ``P|j, 0...0>``, j < 2**n, which ``Q`` never
+    leaves: the index basis states are pushed through the oracle circuits,
+    the flag bit of each image gives ``f_j``, and ``Q`` becomes the
+    ``2**n x 2**n`` matrix ``W . S_0 . W . diag((-1)**f_j)``.  Row k of the
+    joint state holds ``Q^k |psi>`` in this basis; the rows are filled by
+    doubling, t matrix products in all.  The inverse Fourier transform along
+    the counting axis then gives amplitudes whose squared row norms are
+    exactly the measurement distribution of the gate-level circuit, which
+    ``StatePreparation`` and ``GroverIterate`` simulate on the full register.
+    The capacity check counts the qubits of that full register.
     """
     layout_with_counting = circuits.comparison_layout(scenario, announced_by, t=t)
     if layout_with_counting.num_qubits > max_qubits:
         raise CapacityError(
             f"{layout_with_counting.num_qubits} qubits exceed the budget of {max_qubits}"
         )
-    prep = build_state_preparation(scenario, announced_by)
-    flag = prep.layout["flag"].offset
-    iterate = GroverIterate(prep, flag)
+    oracles = comparison_oracles(scenario, announced_by)
+    images = np.arange(1 << scenario.n)  # index j, every other register |0>
+    for c in oracles:
+        images = c.images(images)
+    flag = oracles[0].layout["flag"].offset
+    flag_sign = np.where((images >> flag) & 1, -1.0, 1.0)
 
-    dim = 1 << prep.num_qubits
-    rows = np.empty((1 << t, dim), dtype=np.complex128)
-    rows[0] = prep.apply_to_array(prepare_basis(prep.num_qubits, 0).amplitudes.copy())
-    for k in range(1, 1 << t):
-        rows[k] = iterate.apply_to_array(rows[k - 1])
-    # Inverse QFT on the counting register.  A column that is zero in every
-    # row transforms to zero, so only the support needs the FFT.
-    support = rows[:, np.flatnonzero(rows.any(axis=0))]
-    support = np.fft.fft(support, axis=0, norm="forward")
-    probs = np.einsum("ij,ij->i", support, support.conj()).real
+    w = uniform_index_unitary(scenario.n, scenario.N)  # real and self-inverse
+    s0 = np.ones(w.shape[0])
+    s0[0] = -1.0
+    q = (w * s0) @ w * flag_sign  # W . S_0 . W . S_f
+    # rows hold Q^k |psi> as row vectors, so they multiply by Q transposed;
+    # |psi> = A|0> is column 0 of W
+    power = q.T
+    rows = np.empty((1 << t, w.shape[0]))
+    rows[0] = w[:, 0]
+    for k in range(t):
+        m = 1 << k
+        rows[m : 2 * m] = rows[:m] @ power  # rows m..2m-1 from rows 0..m-1
+        power = power @ power
+    rows = np.fft.fft(rows, axis=0, norm="forward")  # inverse QFT on the counting register
+    probs = np.einsum("ij,ij->i", rows, rows.conj()).real
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"phase distribution sums to {total}, not 1")

@@ -179,6 +179,7 @@ def extend_with_zeros(state: StateVector, extra_qubits: int) -> StateVector:
 
 _NOT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+_NOT.flags.writeable = _HADAMARD.flags.writeable = False  # shared by every such gate
 
 KIND_NOT = "not"
 KIND_HADAMARD = "hadamard"
@@ -215,12 +216,14 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError("gate matrix must be 2x2")
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > ATOL_GATE:
-            raise ValueError("gate matrix is not unitary within 1e-10")
-        object.__setattr__(self, "matrix", m)
+        # the module's own constants are unitary; matrices from callers are checked
+        if self.matrix is not _NOT and self.matrix is not _HADAMARD:
+            m = np.asarray(self.matrix, dtype=np.complex128)
+            if m.shape != (2, 2):
+                raise ValueError("gate matrix must be 2x2")
+            if np.max(np.abs(m.conj().T @ m - np.eye(2))) > ATOL_GATE:
+                raise ValueError("gate matrix is not unitary within 1e-10")
+            object.__setattr__(self, "matrix", m)
         seen = {self.target}
         for qubit, _ in self.controls:
             if qubit in seen:

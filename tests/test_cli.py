@@ -82,6 +82,7 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     (dict(WORKED_EXAMPLE, counting={"shots": True}), "counting.shots must be an integer"),
     (dict(WORKED_EXAMPLE, commitment={"c": "2"}), "commitment.c must be a number"),
     (dict(WORKED_EXAMPLE, seed=4.2), "seed must be an integer"),
+    (dict(WORKED_EXAMPLE, seed=-3), "seed must be non-negative, got -3"),
 ])
 def test_run_rejects_non_integer_and_non_object_fields(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -90,6 +91,12 @@ def test_run_rejects_non_integer_and_non_object_fields(tmp_path, capsys, doc, me
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_run_rejects_negative_seed_flag(scenario_file, capsys):
+    code, out, err = run_cli(capsys, "run", scenario_file, "--seed", "-3")
+    assert code == 2 and out == ""
+    assert "--seed must be non-negative, got -3" in err and "Traceback" not in err
 
 
 def test_run_capacity_exit_code(scenario_file, capsys):

@@ -1,19 +1,24 @@
-"""Property tests: the compiled fast paths agree with the gate-level reference.
+"""Property tests: the fast paths agree with the gate-level reference.
 
-* a circuit's compiled permutation moves amplitudes exactly as applying its
-  NOT gates one by one with ``apply_gate_inplace``;
-* a state preparation's fused inverse undoes its fused forward map;
-* the phase-register distribution, which transforms only the columns that
-  ever hold amplitude, equals a dense all-column FFT over rows built gate
-  by gate.
+* a circuit moves amplitudes, dense or sparse, exactly as applying its NOT
+  gates one by one with ``apply_gate_inplace``, and the inverse circuit's
+  images undo its images;
+* a state preparation's inverse undoes its forward map;
+* the phase-register distribution, computed in the 2**n-dimensional span
+  the iterate never leaves, equals a dense all-column FFT over full-register
+  rows built gate by gate.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from q3pen import circuits
 from q3pen.circuits import Circuit, PriceScenario
-from q3pen.counting import build_state_preparation, phase_register_distribution, uniform_index_unitary
+from q3pen.counting import (
+    build_state_preparation,
+    comparison_oracles,
+    phase_register_distribution,
+    uniform_index_unitary,
+)
 from q3pen.statevec import Gate, RegisterLayout, apply_gate_inplace
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -47,18 +52,19 @@ def scenarios(draw, max_n=6, max_price=7):
 
 
 @SETTINGS
-@given(not_circuits(), st.integers(0, 2**32 - 1))
-def test_compiled_permutation_matches_gate_by_gate(circuit, seed):
+@given(not_circuits(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_compiled_permutation_matches_gate_by_gate(circuit, seed, density):
     amps = random_amplitudes(seed, 1 << circuit.layout.num_qubits)
+    # a random subset of the amplitudes is zeroed: only the rest move
+    amps[np.random.default_rng([seed, 1]).random(amps.size) >= density] = 0.0
     reference = amps.copy()
     for gate in circuit.gates:
         apply_gate_inplace(reference, gate)
     circuit.apply_to_array(amps)
     assert np.max(np.abs(amps - reference)) == 0.0
-    # the inverse circuit's permutation is the inverse permutation
-    dim = amps.size
-    assert np.array_equal(circuit.permutation(dim)[circuit.inverse().permutation(dim)],
-                          np.arange(dim))
+    # the inverse circuit sends every image back to its source
+    x = np.arange(amps.size)
+    assert np.array_equal(circuit.inverse().images(circuit.images(x)), x)
 
 
 @SETTINGS
@@ -72,12 +78,8 @@ def test_state_preparation_inverse_undoes_forward(scenario, announced_by, seed):
 
 def dense_reference_distribution(scenario, t, announced_by):
     """Rows Q^k A|0> built gate by gate, then an FFT over every column."""
-    layout = circuits.comparison_layout(scenario, announced_by)
-    loads = [("priceA", scenario.A), ("priceB", scenario.B)]
-    if announced_by == "bob":
-        loads.reverse()
-    oracles = [circuits.build_price_oracle(prices, layout, target) for target, prices in loads]
-    oracles.append(circuits.build_flag_oracle(layout))
+    oracles = comparison_oracles(scenario, announced_by)
+    layout = oracles[0].layout
     gates = [g for c in oracles for g in c.gates]
     w = uniform_index_unitary(scenario.n, scenario.N)
     block = 1 << scenario.n
@@ -112,10 +114,11 @@ def dense_reference_distribution(scenario, t, announced_by):
 
 
 @settings(max_examples=25, deadline=None)
-@given(scenarios(max_n=4, max_price=3), st.integers(1, 6), st.sampled_from(["alice", "bob"]))
+@given(scenarios(max_n=4, max_price=3), st.integers(1, 8), st.sampled_from(["alice", "bob"]))
+@example(PriceScenario(A=(3, 2, 0), B=(2, 2, 3), epsilon=1), 8, "bob")  # 0 < M < N at t = 8
 def test_support_distribution_matches_dense_fft(scenario, t, announced_by):
     fast = phase_register_distribution(scenario, t, announced_by)
     dense = dense_reference_distribution(scenario, t, announced_by)
-    # only the summation order over the (zero) columns outside the support
-    # can differ, so the two agree to rounding
+    # the reduced rows are the full rows' nonzero columns, computed by
+    # doubling instead of one iterate at a time: they agree to rounding
     assert np.max(np.abs(fast - dense)) < 1e-12
