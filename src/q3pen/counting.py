@@ -2,8 +2,8 @@
 
 The count of products whose comparison flag is 1 is estimated without
 measuring the flag directly.  With ``A`` the unitary that prepares the
-comparison-ready state from |0...0> and ``S_f``/``S_0`` the sign flips on
-flag-set components and on the all-zeros state, the iterate
+comparison-ready state ``psi = A|0...0>`` and ``S_f``/``S_0`` the sign flips
+on flag-set components and on the all-zeros state, the iterate
 
     Q = A . S_0 . A^-1 . S_f
 
@@ -19,30 +19,35 @@ This convention is pinned by tests against brute-force counts rather than
 trusted from any single statement of the algorithm.  Outcomes ``omega`` and
 ``2**t - omega`` fold to the same estimate.
 
-Because the uniform superposition over index values 1..N has no natural
-gate construction for general N, ``A`` is realized as a Householder
-reflection ``W`` on the index register (real and self-inverse) followed by
-the oracle circuits, whose composition is a basis-state permutation ``P``:
-``A = P . (W (x) I)``.  ``S_f`` and ``S_0`` are diagonal, so ``Q`` never
-leaves the ``2**n``-dimensional span of the basis states ``P|j, 0...0>``.
-Phase estimation runs in that span: pushing the ``2**n`` index basis states
-through the oracle circuits gives each one's flag bit ``f_j``, and in this
-basis ``Q`` is the ``2**n x 2**n`` matrix ``W . S_0 . W . diag((-1)**f_j)``.
-The joint state over the counting register is expanded into rows
-``Q^k |psi>``, filled by doubling (``rows[m:2m] = rows[:m] . Q^m`` with
-``Q^m`` squared after each step, t products in all), and the inverse
-quantum Fourier transform is applied as an FFT along the counting axis,
-which is arithmetically identical to the gate-level circuit.
+``A . S_0 . A^-1`` is the reflection ``I - 2|psi><psi|`` and ``S_f`` is
+diagonal, so ``Q`` never leaves the span of the basis states ``psi`` is
+spread over: one per product, N in all.  Phase estimation runs in that span,
+on a ``HeldState`` (those basis indices and their amplitudes).  With ``f``
+the flag bit of each held index, ``Q`` there is the N x N matrix
+``(I - 2|psi><psi|) . diag((-1)**f)``.  The protocol passes the state a
+party holds after Steps 2-3; without one, the honest state is built from the
+comparison oracles: the images of index values 1..N, each with amplitude
+1/sqrt(N).  Either way the flag bits are read from gate-level circuit
+images, not from the classical comparison.  The joint state over the
+counting register is expanded into rows ``Q^k |psi>``, filled by doubling
+(``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
+products in all), and the inverse quantum Fourier transform is applied as an
+FFT along the counting axis, which is arithmetically identical to the
+gate-level circuit.  The held state must be ``A|0...0>``: a collapsed state
+is not, and counting one would need the reflection about the honest state.
 
 ``StatePreparation`` and ``GroverIterate`` run ``A`` and ``Q`` on the full
-``2**work``-amplitude register.  The protocol does not use them; they are
-the reference the reduced computation is tested against.
+``2**work``-amplitude register, with ``A = P . (W (x) I)``: a Householder
+reflection ``W`` on the index register, then the oracles' basis permutation
+``P``.  The protocol does not use them; they are the reference the reduced
+computation is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +79,14 @@ class CountEstimate:
     theta_hat: float
     delta: float
     outcomes: tuple[int, ...]
+
+
+class HeldState(NamedTuple):
+    """A comparison-ready state as its support: basis indices on the
+    comparison layout of one announcement, and their amplitudes."""
+
+    indices: np.ndarray
+    amplitudes: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +181,15 @@ def build_state_preparation(scenario: PriceScenario, announced_by: str = "alice"
     return StatePreparation(oracles[0].layout, uniform_index_unitary(scenario.n, scenario.N), oracles)
 
 
+def honest_held_state(scenario: PriceScenario, announced_by: str = "alice") -> HeldState:
+    """``A|0...0>`` as a held state: index values 1..N pushed through the
+    comparison oracles, each with amplitude 1/sqrt(N)."""
+    images = np.arange(1, scenario.N + 1)
+    for c in comparison_oracles(scenario, announced_by):
+        images = c.images(images)
+    return HeldState(images, np.full(scenario.N, 1.0 / math.sqrt(scenario.N)))
+
+
 # ---------------------------------------------------------------------------
 # the iterate
 
@@ -232,41 +254,36 @@ def error_bound(t: int, N: int, m_hat: int) -> float:
 
 def phase_register_distribution(scenario: PriceScenario, t: int,
                                 announced_by: str = "alice",
-                                max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+                                max_qubits: int = DEFAULT_MAX_QUBITS,
+                                held: HeldState | None = None) -> np.ndarray:
     """Outcome probabilities of the t-qubit phase register.
 
-    Works in the span of ``P|j, 0...0>``, j < 2**n, which ``Q`` never
-    leaves: the index basis states are pushed through the oracle circuits,
-    the flag bit of each image gives ``f_j``, and ``Q`` becomes the
-    ``2**n x 2**n`` matrix ``W . S_0 . W . diag((-1)**f_j)``.  Row k of the
-    joint state holds ``Q^k |psi>`` in this basis; the rows are filled by
-    doubling, t matrix products in all.  The inverse Fourier transform along
-    the counting axis then gives amplitudes whose squared row norms are
-    exactly the measurement distribution of the gate-level circuit, which
-    ``StatePreparation`` and ``GroverIterate`` simulate on the full register.
-    The capacity check counts the qubits of that full register.
+    Works in the span of the support of ``held`` (the honest state of
+    ``honest_held_state`` when omitted), which ``Q`` never leaves: the flag
+    bit of each held index gives ``f``, and ``Q`` becomes the N x N matrix
+    ``(I - 2|psi><psi|) . diag((-1)**f)``.  Row k of the joint state holds
+    ``Q^k |psi>`` in this basis; the rows are filled by doubling, t matrix
+    products in all.  The inverse Fourier transform along the counting axis
+    then gives amplitudes whose squared row norms are exactly the
+    measurement distribution of the gate-level circuit, which
+    ``StatePreparation`` and ``GroverIterate`` simulate on the full
+    register.  The capacity check counts the qubits of that full register.
     """
     layout_with_counting = circuits.comparison_layout(scenario, announced_by, t=t)
     if layout_with_counting.num_qubits > max_qubits:
         raise CapacityError(
             f"{layout_with_counting.num_qubits} qubits exceed the budget of {max_qubits}"
         )
-    oracles = comparison_oracles(scenario, announced_by)
-    images = np.arange(1 << scenario.n)  # index j, every other register |0>
-    for c in oracles:
-        images = c.images(images)
-    flag = oracles[0].layout["flag"].offset
-    flag_sign = np.where((images >> flag) & 1, -1.0, 1.0)
-
-    w = uniform_index_unitary(scenario.n, scenario.N)  # real and self-inverse
-    s0 = np.ones(w.shape[0])
-    s0[0] = -1.0
-    q = (w * s0) @ w * flag_sign  # W . S_0 . W . S_f
-    # rows hold Q^k |psi> as row vectors, so they multiply by Q transposed;
-    # |psi> = A|0> is column 0 of W
+    if held is None:
+        held = honest_held_state(scenario, announced_by)
+    psi = held.amplitudes
+    flag = layout_with_counting["flag"].offset
+    flag_sign = np.where((held.indices >> flag) & 1, -1.0, 1.0)
+    q = (np.eye(psi.size) - 2.0 * np.outer(psi, psi.conj())) * flag_sign  # (I - 2|psi><psi|) . S_f
+    # rows hold Q^k |psi> as row vectors, so they multiply by Q transposed
     power = q.T
-    rows = np.empty((1 << t, w.shape[0]))
-    rows[0] = w[:, 0]
+    rows = np.empty((1 << t, psi.size), dtype=q.dtype)
+    rows[0] = psi
     for k in range(t):
         m = 1 << k
         rows[m : 2 * m] = rows[:m] @ power  # rows m..2m-1 from rows 0..m-1
@@ -281,15 +298,18 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
 
 def quantum_count(scenario: PriceScenario, params: CountingParams = CountingParams(),
                   announced_by: str = "alice",
-                  max_qubits: int = DEFAULT_MAX_QUBITS) -> CountEstimate:
-    """Estimate the number of products whose comparison flag is set.
+                  max_qubits: int = DEFAULT_MAX_QUBITS,
+                  held: HeldState | None = None) -> CountEstimate:
+    """Estimate the number of products whose comparison flag is set, from
+    the state ``held`` (by default the honest one; see
+    ``phase_register_distribution``).
 
     Draws ``params.shots`` independent phase-register samples (each shot
     uses its own child seed, so results do not depend on evaluation order),
     folds them to rotation estimates, and reports the median.  Deterministic
     for fixed inputs.
     """
-    probs = phase_register_distribution(scenario, params.t, announced_by, max_qubits)
+    probs = phase_register_distribution(scenario, params.t, announced_by, max_qubits, held)
     children = np.random.SeedSequence(params.rng_seed).spawn(params.shots)
     uniforms = [np.random.default_rng(child).random() for child in children]
     outcomes = tuple(int(w) for w in sample_outcomes(probs, uniforms))

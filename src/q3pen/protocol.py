@@ -4,10 +4,15 @@ The run alternates between the buyer ("alice") and the seller ("bob"):
 
 1. each party injects the uniform index superposition, loads its own prices,
    and sends the resulting (n+d)-qubit state to the other;
-2. the receiver extends the state and loads its own prices next to the
-   sender's;
-3. the receiver writes the comparison flag through the flag oracle;
-4. each party runs the counting algorithm on the state it holds;
+2. the receiver takes the support of the received state (at most N basis
+   indices and their amplitudes; extending the register by zeros on top
+   leaves those indices unchanged) and pushes it through its own price
+   oracle;
+3. the receiver writes the comparison flag by pushing the same indices
+   through the flag oracle; what it holds is a ``HeldState``, indices on the
+   comparison layout with their amplitudes, and no ``2**work`` array is
+   ever allocated;
+4. each party counts the state it holds, in the span of that support;
 5. the counts are exchanged under bit-string commitment (fingerprint state,
    classical unveil, projective verification) and checked for consistency
    |t_A - t_B| <= delta;
@@ -24,7 +29,9 @@ measures the received state in Step 2 (learning exactly one (i, price_i)
 pair and destroying its own ability to count), then unveils a copy of the
 honest party's count to survive the consistency check, which the
 commitment verification catches; "false-unveil" counts honestly but
-unveils a different value.
+unveils a different value.  Counting assumes the held state is
+``A|0...0>``, so a collapsed state is never counted: the measuring cheater
+reports a scripted guess instead.
 """
 
 from __future__ import annotations
@@ -39,13 +46,13 @@ import numpy as np
 from . import circuits, commitment, counting
 from .circuits import PriceScenario
 from .commitment import CodeParams
-from .counting import CountEstimate, CountingParams
+from .counting import CountEstimate, CountingParams, HeldState
 from .statevec import (
+    ATOL_INPUT,
     DEFAULT_MAX_QUBITS,
     CapacityError,
     Segment,
     StateVector,
-    extend_with_zeros,
     measure,
     prepare_amplitudes,
     sample_outcomes,
@@ -216,14 +223,30 @@ def prepare_announced_state(scenario: PriceScenario, owner: str) -> StateVector:
     return oracle.apply(state)
 
 
-def _extend_and_load(scenario: PriceScenario, announced_by: str,
-                     state: StateVector) -> StateVector:
-    """Step 2 on a received state: extend it and load the receiver's prices."""
+def load_received_state(scenario: PriceScenario, announced_by: str,
+                        state: StateVector) -> HeldState:
+    """Step 2 on a received state: its support, with the receiver's prices
+    loaded alongside, as indices on the comparison layout."""
+    width = circuits.announcement_layout(scenario, announced_by).num_qubits
+    if state.num_qubits != width:
+        raise ValueError(f"received a {state.num_qubits}-qubit state; the announcement has {width}")
+    indices = np.flatnonzero(state.amplitudes)
+    amplitudes = state.amplitudes[indices]
+    norm = float(np.linalg.norm(amplitudes))
+    if abs(norm - 1.0) > ATOL_INPUT:
+        raise ValueError(f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
     layout = circuits.comparison_layout(scenario, announced_by)
-    state = extend_with_zeros(state, layout.num_qubits - state.num_qubits)
     receiver_prices = scenario.B if announced_by == "alice" else scenario.A
     receiver_target = "priceB" if announced_by == "alice" else "priceA"
-    return circuits.build_price_oracle(receiver_prices, layout, receiver_target).apply(state)
+    oracle = circuits.build_price_oracle(receiver_prices, layout, receiver_target)
+    return HeldState(oracle.images(indices), amplitudes)
+
+
+def write_comparison_flag(scenario: PriceScenario, announced_by: str,
+                          held: HeldState) -> HeldState:
+    """Step 3 on a held state: the flag oracle applied to its indices."""
+    layout = circuits.comparison_layout(scenario, announced_by)
+    return held._replace(indices=circuits.build_flag_oracle(layout).images(held.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +344,7 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     transcript.timings[1] = clock() - t0
 
     # Step 2: a measuring adversary strikes on receipt, before doing any
-    # work; then each receiver extends the state and loads its own prices.
+    # work; then each receiver takes the support and loads its own prices.
     t0 = clock()
     if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE:
         victim = "alice" if cheater.role == "bob" else "bob"
@@ -335,36 +358,35 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
         learned_price = outcome >> idx_width
         transcript.adversary["learned"] = {"index": learned_index, "price": learned_price}
 
-    loaded = {announced_by: _extend_and_load(scenario, announced_by, state)
+    loaded = {announced_by: load_received_state(scenario, announced_by, state)
               for announced_by, state in announced.items()}
     transcript.timings[2] = clock() - t0
 
     # Step 3: each receiver writes the comparison flag.
     t0 = clock()
-    held = {}  # keyed by the party that announced the state
-    for announced_by, state in loaded.items():
-        layout = circuits.comparison_layout(scenario, announced_by)
-        held[announced_by] = circuits.build_flag_oracle(layout).apply(state)
+    held = {announced_by: write_comparison_flag(scenario, announced_by, state)
+            for announced_by, state in loaded.items()}  # keyed by the announcer
     transcript.timings[3] = clock() - t0
 
-    # Step 4: independent counting runs.  t_B is the seller's estimate made
-    # on the buyer-announced state, and vice versa.
+    # Step 4: independent counting runs, each on the state its party holds.
+    # t_B is the seller's estimate made on the buyer-announced state, and
+    # vice versa.
     t0 = clock()
     estimates = {}
-    estimates["bob"] = counting.quantum_count(
-        scenario, replace(params, rng_seed=seeds["count_bob"]),
-        announced_by="alice", max_qubits=max_qubits)
-    estimates["alice"] = counting.quantum_count(
-        scenario, replace(params, rng_seed=seeds["count_alice"]),
-        announced_by="bob", max_qubits=max_qubits)
-    if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE:
-        # the measurement destroyed the superposition: no valid count exists,
-        # so the cheater improvises an uninformed guess dressed up as a report
-        guess = int(adversary_rng.integers(0, scenario.N + 1))
-        estimates[cheater.role] = CountEstimate(
-            m_hat=guess,
-            theta_hat=2.0 * np.arcsin(np.sqrt(guess / scenario.N)),
-            delta=counting.error_bound(params.t, scenario.N, guess), outcomes=())
+    for role, announced_by in (("bob", "alice"), ("alice", "bob")):
+        if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE and role == cheater.role:
+            # the measurement destroyed the superposition and a collapsed
+            # state is not counted, so the cheater improvises an uninformed
+            # guess dressed up as a report
+            guess = int(adversary_rng.integers(0, scenario.N + 1))
+            estimates[role] = CountEstimate(
+                m_hat=guess,
+                theta_hat=2.0 * np.arcsin(np.sqrt(guess / scenario.N)),
+                delta=counting.error_bound(params.t, scenario.N, guess), outcomes=())
+        else:
+            estimates[role] = counting.quantum_count(
+                scenario, replace(params, rng_seed=seeds[f"count_{role}"]),
+                announced_by=announced_by, max_qubits=max_qubits, held=held[announced_by])
     transcript.estimates = dict(estimates)
     transcript.timings[4] = clock() - t0
 

@@ -373,6 +373,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
     Validates hermiticity and unit trace within 1e-8 and tolerates
     eigenvalues down to -1e-10 (clipped to zero); 0*log(0) is taken as 0.
+    The eigensolve runs on the principal submatrix of the rows and columns
+    holding a nonzero entry, which is exact: the rest is a zero block.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -382,7 +384,9 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > ATOL_INPUT:
         raise ValueError(f"density matrix trace {trace} is not 1 within 1e-8")
-    evals = np.linalg.eigvalsh(rho)
+    nonzero = rho != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    evals = np.linalg.eigvalsh(rho[np.ix_(support, support)])
     if evals.min() < -1e-10:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min()}")
     evals = evals[evals > 0.0]

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from q3pen.circuits import PriceScenario, brute_force_count
+from q3pen.circuits import PriceScenario, brute_force_count, comparison_layout
 from q3pen.counting import (
     CountingParams,
     GroverIterate,
     build_state_preparation,
     error_bound,
+    honest_held_state,
     outcome_to_theta,
     phase_register_distribution,
     quantum_count,
@@ -191,6 +192,20 @@ def test_phase_distribution_concentrates_correctly(worked_example):
     top = np.argsort(probs)[-4:]
     assert set(top) <= {8, 9, 55, 56}
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_phase_distribution_counts_the_held_state(worked_example):
+    # keep only the flag-set (or only the flag-clear) components of the
+    # honest state: the held state is then all marked (phase 0, m_hat = N)
+    # or all unmarked (phase pi, m_hat = 0), whatever the scenario says
+    honest = honest_held_state(worked_example)
+    flagged = ((honest.indices >> comparison_layout(worked_example, "alice")["flag"].offset) & 1) == 1
+    t = 6
+    for keep, omega in ((flagged, 0), (~flagged, 1 << (t - 1))):
+        amps = honest.amplitudes[keep]
+        held = honest._replace(indices=honest.indices[keep], amplitudes=amps / np.linalg.norm(amps))
+        probs = phase_register_distribution(worked_example, t, held=held)
+        assert probs[omega] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_capacity_guard(worked_example):

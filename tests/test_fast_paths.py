@@ -4,22 +4,34 @@
   gates one by one with ``apply_gate_inplace``, and the inverse circuit's
   images undo its images;
 * a state preparation's inverse undoes its forward map;
-* the phase-register distribution, computed in the 2**n-dimensional span
-  the iterate never leaves, equals a dense all-column FFT over full-register
-  rows built gate by gate.
+* Steps 2-3 run on the support of the received state hold exactly the
+  nonzero amplitudes of the dense register those steps used to build gate
+  by gate, also after a measured announcement;
+* the phase-register distribution, computed in the span of the held
+  state's support that the iterate never leaves, equals a dense all-column
+  FFT over full-register rows built gate by gate, and is the same whether
+  the held state comes from the protocol or is built honestly.
 """
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from q3pen.circuits import Circuit, PriceScenario
+from q3pen.circuits import Circuit, PriceScenario, comparison_layout
 from q3pen.counting import (
     build_state_preparation,
     comparison_oracles,
     phase_register_distribution,
     uniform_index_unitary,
 )
-from q3pen.statevec import Gate, RegisterLayout, apply_gate_inplace
+from q3pen.protocol import load_received_state, prepare_announced_state, write_comparison_flag
+from q3pen.statevec import (
+    Gate,
+    RegisterLayout,
+    Segment,
+    apply_gate_inplace,
+    extend_with_zeros,
+    measure,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -74,6 +86,56 @@ def test_state_preparation_inverse_undoes_forward(scenario, announced_by, seed):
     x = random_amplitudes(seed, 1 << prep.num_qubits)
     back = prep.inverse_to_array(prep.apply_to_array(x.copy()))
     assert np.max(np.abs(back - x)) < 1e-9
+
+
+def received_state(scenario, announced_by, collapse_seed):
+    """The announced state, measured in full first when a seed is given."""
+    state = prepare_announced_state(scenario, announced_by)
+    if collapse_seed is not None:
+        _, state = measure(state, Segment("all", 0, state.num_qubits), collapse_seed)
+    return state
+
+
+def held_state(scenario, announced_by, state):
+    """Steps 2-3 as the protocol runs them."""
+    loaded = load_received_state(scenario, announced_by, state)
+    return write_comparison_flag(scenario, announced_by, loaded)
+
+
+@SETTINGS
+@given(scenarios(), st.sampled_from(["alice", "bob"]),
+       st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_sparse_steps_23_match_dense_gate_by_gate(scenario, announced_by, collapse_seed):
+    state = received_state(scenario, announced_by, collapse_seed)
+    held = held_state(scenario, announced_by, state)
+
+    # reference: extend by zeros, then the receiver's price oracle and the
+    # flag oracle gate by gate on the whole working register
+    layout = comparison_layout(scenario, announced_by)
+    dense = extend_with_zeros(state, layout.num_qubits - state.num_qubits).amplitudes
+    _, receiver_oracle, flag_oracle = comparison_oracles(scenario, announced_by)
+    for gate in receiver_oracle.gates + flag_oracle.gates:
+        apply_gate_inplace(dense, gate)
+
+    support = np.flatnonzero(dense)
+    order = np.argsort(held.indices)
+    assert np.array_equal(held.indices[order], support)
+    assert np.max(np.abs(held.amplitudes[order] - dense[support])) == 0.0
+    # each held index keeps the index value it was received with, and the
+    # comparator's scratch is clean
+    received = np.flatnonzero(state.amplitudes)
+    assert np.array_equal(layout["index"].value(held.indices), layout["index"].value(received))
+    assert not layout["ancilla"].value(held.indices).any()
+
+
+@SETTINGS
+@given(scenarios(), st.integers(1, 8), st.sampled_from(["alice", "bob"]))
+def test_protocol_held_distribution_matches_honest(scenario, t, announced_by):
+    # a wide qubit budget: only N amplitudes and 2**t x N rows are allocated
+    held = held_state(scenario, announced_by, received_state(scenario, announced_by, None))
+    from_held = phase_register_distribution(scenario, t, announced_by, max_qubits=32, held=held)
+    honest = phase_register_distribution(scenario, t, announced_by, max_qubits=32)
+    assert np.max(np.abs(from_held - honest)) < 1e-12
 
 
 def dense_reference_distribution(scenario, t, announced_by):

@@ -1,17 +1,20 @@
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_scenario
-from q3pen.circuits import PriceScenario, brute_force_count
+from q3pen.circuits import PriceScenario, brute_force_count, comparison_layout
 from q3pen.commitment import empirical_accept_rate, fingerprint_state, parity_repetition_code
-from q3pen import protocol
+from q3pen import circuits, counting, protocol
 from q3pen.counting import CountingParams
 from q3pen.protocol import (
     ChannelMessage,
     NegotiationTranscript,
     Party,
+    load_received_state,
     measurement_attack_statistics,
     prepare_announced_state,
     run_negotiation,
@@ -90,6 +93,62 @@ def test_transcript_timings_recorded(worked_example, monkeypatch):
     for tr in (run_negotiation(worked_example, PARAMS, master_seed=1),
                run_with_adversary(worked_example, "bob", "measure-and-cheat", PARAMS)):
         assert tr.timings == {step: 1.0 for step in range(1, 7)}
+
+
+# ---------------------------------------------------------------------------
+# Steps 2-4 on the held state
+
+
+def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
+    # Step 1 builds each announcer's price oracle, Steps 2-3 each receiver's
+    # price oracle and flag oracle; Step 4 builds none
+    calls = Counter()
+    for name in ("build_price_oracle", "build_flag_oracle"):
+        def counted(*args, _name=name, _build=getattr(circuits, name), **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(circuits, name, counted)
+    run_negotiation(worked_example, PARAMS, master_seed=1)
+    assert calls == {"build_price_oracle": 4, "build_flag_oracle": 2}
+
+
+@pytest.mark.parametrize("cheater", ["alice", "bob"])
+def test_collapsed_state_is_not_counted(worked_example, monkeypatch, cheater):
+    announcers = []
+
+    def counted(*args, _count=counting.quantum_count, **kwargs):
+        announcers.append(kwargs["announced_by"])
+        return _count(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "quantum_count", counted)
+    tr = run_with_adversary(worked_example, cheater, "measure-and-cheat", PARAMS, master_seed=4)
+    # only the honest party counts: the state the cheater announced
+    assert announcers == [cheater]
+    assert tr.estimates[cheater].outcomes == ()
+
+
+def test_negotiation_allocates_no_working_register():
+    # 18 working qubits: one dense register would take 4 MiB
+    sc = PriceScenario(A=(31, 5, 17), B=(12, 30, 1), epsilon=1)
+    work = comparison_layout(sc, "alice").num_qubits
+    run_negotiation(sc, CountingParams(t=2), master_seed=1)  # first-call imports
+    tracemalloc.start()
+    try:
+        run_negotiation(sc, CountingParams(t=2), master_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << work
+
+
+def test_received_state_is_checked(worked_example):
+    state = prepare_announced_state(worked_example, "alice")
+    with pytest.raises(ValueError, match="announcement has"):
+        load_received_state(worked_example, "alice", prepare_announced_state(
+            PriceScenario(A=(9,), B=(1,), epsilon=1), "alice"))
+    state.amplitudes[state.amplitudes != 0] *= 2.0
+    with pytest.raises(ValueError, match="norm"):
+        load_received_state(worked_example, "alice", state)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,31 @@ def test_entropy_bounds_for_random_density_matrices():
         assert -1e-9 <= s <= q + 1e-9
 
 
+def test_entropy_on_support_equals_full_eigensolve():
+    # a mixed state on scattered basis states, zero elsewhere: the eigensolve
+    # on the nonzero rows and columns gives the full matrix's entropy
+    rng = np.random.default_rng(11)
+    dim = 64
+    for _ in range(10):
+        support = rng.choice(dim, size=int(rng.integers(1, 9)), replace=False)
+        v = rng.normal(size=(support.size, 3)) + 1j * rng.normal(size=(support.size, 3))
+        block = v @ v.conj().T
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[np.ix_(support, support)] = block / np.trace(block).real
+        evals = np.linalg.eigvalsh(rho)
+        evals = evals[evals > 1e-12]
+        assert von_neumann_entropy(rho) == pytest.approx(-(evals * np.log2(evals)).sum(), abs=1e-9)
+    # the checks still read the whole matrix, zero block included
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[3, 3] = 1.0
+    rho[7, 40] = 1e-6
+    with pytest.raises(ValueError):
+        von_neumann_entropy(rho)  # not Hermitian outside the support
+    rho[7, 40] = rho[40, 7] = 0.5  # zero diagonal there: eigenvalues +-0.5
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        von_neumann_entropy(rho)
+
+
 # ---------------------------------------------------------------------------
 # layout plumbing
 
