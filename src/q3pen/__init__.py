@@ -26,7 +26,6 @@ from .commitment import (
 from .counting import (
     CountEstimate,
     CountingParams,
-    GroverIterate,
     build_state_preparation,
     error_bound,
     quantum_count,
@@ -45,7 +44,6 @@ from .statevec import (
     RegisterLayout,
     Segment,
     StateVector,
-    apply_gate,
     inner_product,
     measure,
     prepare_amplitudes,

@@ -13,7 +13,9 @@ Three builders cover the quantum side of the price comparison:
 All circuits are built from NOT gates with mixed-polarity controls, so every
 circuit is a permutation of basis states and is inverted by reversing its
 gate list.  ``Circuit.images`` runs the gates, in order, on an array of
-basis indices and returns where each one lands.  Applying a circuit to an
+basis indices and returns where each one lands: per gate, one compare
+against the control mask and value the gate computed when it was built, and
+one XOR into the target bit.  Applying a circuit to an
 amplitude array moves only its support (the nonzero amplitudes) to their
 images, which is exact; a protocol state has few nonzero amplitudes among
 the ``2**work`` it is stored in.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import KIND_NOT, Gate, RegisterLayout, StateVector
+from .statevec import Gate, RegisterLayout, StateVector
 
 
 def classical_f(a: int, b: int) -> int:
@@ -137,18 +139,17 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        touched = 0
         for g in self.gates:
-            if g.kind != KIND_NOT:
-                raise ValueError(f"circuits are permutations of basis states; got a {g.kind} gate")
-            if g.max_qubit() >= self.layout.num_qubits:
-                raise ValueError(f"gate touches qubit {g.max_qubit()} outside layout ({self.layout})")
+            touched |= g.mask | 1 << g.target
+        if touched >> self.layout.num_qubits:
+            raise ValueError(f"gate touches qubit {touched.bit_length() - 1} outside layout ({self.layout})")
 
     def __len__(self):
         return len(self.gates)
 
     def inverse(self) -> "Circuit":
-        gates = tuple(g.inverse() for g in reversed(self.gates))
-        return Circuit(gates, self.layout, self.ancilla, name=self.name + "^-1")
+        return Circuit(self.gates[::-1], self.layout, self.ancilla, name=self.name + "^-1")
 
     # -- application ----------------------------------------------------
 
@@ -156,11 +157,7 @@ class Circuit:
         """Basis index each input index is sent to, the gates run in order."""
         x = np.array(indices, dtype=np.intp)
         for g in self.gates:
-            mask = value = 0
-            for qubit, polarity in g.controls:
-                mask |= 1 << qubit
-                value |= polarity << qubit
-            x ^= ((x & mask) == value).astype(np.intp) << g.target
+            x ^= ((x & g.mask) == g.value).astype(np.intp) << g.target
         return x
 
     def apply_to_array(self, amplitudes: np.ndarray) -> None:
@@ -261,22 +258,3 @@ def build_flag_oracle(layout: RegisterLayout) -> Circuit:
     flag, so a pre-set flag is flipped back where the comparison holds).
     """
     return build_comparator(layout["priceA"].width, layout)
-
-
-# ---------------------------------------------------------------------------
-# ancilla hygiene check (shared by tests and state-prep validation)
-
-
-def ancillas_clean(circuit: Circuit, basis_index: int) -> bool:
-    """True if a basis input with zeroed ancillas leaves them zeroed."""
-    if circuit.ancilla is None:
-        return True
-    seg = circuit.layout[circuit.ancilla]
-    if seg.value(basis_index) != 0:
-        raise ValueError("ancillas_clean expects an input with zeroed ancillas")
-    dim = 1 << circuit.layout.num_qubits
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[basis_index] = 1.0
-    circuit.apply_to_array(amps)
-    support = np.nonzero(np.abs(amps) > 1e-12)[0]
-    return all(seg.value(int(x)) == 0 for x in support)

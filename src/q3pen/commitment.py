@@ -20,6 +20,7 @@ window pins below (1 - 2*delta_code)^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,16 @@ def _bits(value: int, n: int) -> np.ndarray:
     if not 0 <= value < 1 << n:
         raise ValueError(f"value {value} does not fit {n} bits")
     return np.array([(value >> k) & 1 for k in range(n)], dtype=np.uint8)
+
+
+@functools.cache
+def _nonzero_messages(n: int) -> np.ndarray:
+    """The 2**n - 1 nonzero n-bit messages as rows (bit k in column k), built
+    once per n and shared read-only by every code search at that n."""
+    values = np.arange(1, 1 << n)
+    msgs = ((values[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    msgs.flags.writeable = False
+    return msgs
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +87,7 @@ class CodeParams:
         """Hamming weights of all nonzero codewords (exhaustive, n <= 16)."""
         if self.n > 16:
             raise ValueError("exhaustive weight enumeration limited to n <= 16")
-        msgs = np.array(
-            [_bits(v, self.n) for v in range(1, 1 << self.n)], dtype=np.uint8
-        )
-        return ((msgs @ self.generator) % 2).sum(axis=1)
+        return ((_nonzero_messages(self.n) @ self.generator) % 2).sum(axis=1)
 
     def check_distance_window(self) -> bool:
         """True if all pairwise distances lie in [delta*m, (1-delta)*m].
@@ -128,8 +136,7 @@ def parity_repetition_code(n: int) -> CodeParams:
         g[i, i] = 1
         g[i, n + i] ^= 1
         g[i, n + (i - 1) % n] ^= 1  # at n=1 both XORs cancel: the parity bit vanishes
-    msgs = np.array([_bits(v, n) for v in range(1, 1 << n)], dtype=np.uint8)
-    w = ((msgs @ g) % 2).sum(axis=1)
+    w = ((_nonzero_messages(n) @ g) % 2).sum(axis=1)
     balanced = min(int(w.min()), m - int(w.max())) / m
     code = CodeParams(n=n, m=m, generator=g, delta_code=min(0.25, balanced))
     if not code.check_distance_window():

@@ -36,11 +36,11 @@ FFT along the counting axis, which is arithmetically identical to the
 gate-level circuit.  The held state must be ``A|0...0>``: a collapsed state
 is not, and counting one would need the reflection about the honest state.
 
-``StatePreparation`` and ``GroverIterate`` run ``A`` and ``Q`` on the full
-``2**work``-amplitude register, with ``A = P . (W (x) I)``: a Householder
-reflection ``W`` on the index register, then the oracles' basis permutation
-``P``.  The protocol does not use them; they are the reference the reduced
-computation is tested against.
+``StatePreparation`` runs ``A`` on the full ``2**work``-amplitude register,
+with ``A = P . (W (x) I)``: a Householder reflection ``W`` on the index
+register, then the oracles' basis permutation ``P``.  The protocol does not
+use it; the tests build the full-register iterate ``Q`` from it as the
+reference the reduced computation is checked against.
 """
 
 from __future__ import annotations
@@ -191,38 +191,6 @@ def honest_held_state(scenario: PriceScenario, announced_by: str = "alice") -> H
 
 
 # ---------------------------------------------------------------------------
-# the iterate
-
-
-class GroverIterate:
-    """Q = A . S_0 . A^-1 . S_f over a given state preparation."""
-
-    def __init__(self, state_prep: StatePreparation, flag_qubit: int):
-        for attr in ("apply_to_array", "inverse_to_array", "num_qubits"):
-            if not hasattr(state_prep, attr):
-                raise ValueError("state preparation must expose an exact inverse")
-        if not 0 <= flag_qubit < state_prep.num_qubits:
-            raise ValueError(f"flag qubit {flag_qubit} outside the prepared register")
-        self.state_prep = state_prep
-        self.flag_qubit = flag_qubit
-        self.num_qubits = state_prep.num_qubits
-        idx = np.arange(1 << self.num_qubits)
-        self._flag_sign = np.where((idx >> flag_qubit) & 1, -1.0, 1.0)
-
-    def apply_to_array(self, amps: np.ndarray) -> np.ndarray:
-        """Q on a raw amplitude array; returns a new array, ``amps`` is kept."""
-        amps = amps * self._flag_sign         # S_f
-        amps = self.state_prep.inverse_to_array(amps)
-        amps[0] *= -1.0                       # S_0
-        return self.state_prep.apply_to_array(amps)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.num_qubits != self.num_qubits:
-            raise ValueError("state size does not match the iterate")
-        return StateVector(self.num_qubits, self.apply_to_array(state.amplitudes.copy()))
-
-
-# ---------------------------------------------------------------------------
 # phase estimation
 
 
@@ -265,8 +233,7 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
     ``Q^k |psi>`` in this basis; the rows are filled by doubling, t matrix
     products in all.  The inverse Fourier transform along the counting axis
     then gives amplitudes whose squared row norms are exactly the
-    measurement distribution of the gate-level circuit, which
-    ``StatePreparation`` and ``GroverIterate`` simulate on the full
+    measurement distribution of the gate-level circuit on the full
     register.  The capacity check counts the qubits of that full register.
     """
     layout_with_counting = circuits.comparison_layout(scenario, announced_by, t=t)

@@ -71,12 +71,10 @@ CLASSICAL = "classical-bits"
 
 @dataclass
 class Party:
-    """One negotiation participant; reads only its own price vector."""
+    """One negotiation participant: its role and its scripted behaviour."""
 
     role: str  # "alice" (buyer) or "bob" (seller)
-    prices: tuple[int, ...]
     behavior: str = BEHAVIOR_HONEST
-    seed: int | None = None
 
     def __post_init__(self):
         if self.role not in ("alice", "bob"):
@@ -259,8 +257,8 @@ def run_negotiation(scenario: PriceScenario,
                     master_seed: int = 42,
                     max_qubits: int = DEFAULT_MAX_QUBITS) -> NegotiationTranscript:
     """Honest end-to-end run; deterministic for a fixed master seed."""
-    alice = Party("alice", scenario.A, seed=master_seed)
-    bob = Party("bob", scenario.B, seed=master_seed)
+    alice = Party("alice")
+    bob = Party("bob")
     return _run(scenario, alice, bob, params, code, master_seed, max_qubits)
 
 
@@ -282,8 +280,8 @@ def run_with_adversary(scenario: PriceScenario,
         raise ValueError(f"unknown party {cheater!r}")
     if behavior not in BEHAVIORS:
         raise ValueError(f"unknown behavior {behavior!r}")
-    alice = Party("alice", scenario.A, behavior if cheater == "alice" else BEHAVIOR_HONEST)
-    bob = Party("bob", scenario.B, behavior if cheater == "bob" else BEHAVIOR_HONEST)
+    alice = Party("alice", behavior if cheater == "alice" else BEHAVIOR_HONEST)
+    bob = Party("bob", behavior if cheater == "bob" else BEHAVIOR_HONEST)
     return _run(scenario, alice, bob, params, code, master_seed, max_qubits,
                 scripted_role=cheater, false_unveil_value=false_unveil_value)
 

@@ -1,5 +1,5 @@
-"""Dense state-vector simulation: states, controlled gates, measurement,
-inner products, and density-matrix entropy.
+"""Dense state-vector simulation: states, multi-controlled NOT gates,
+measurement, inner products, and density-matrix entropy.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,9 @@ Conventions used throughout the package:
   state ``|x>`` lives at position ``x`` of the amplitude array, and a
   register segment ``[offset, offset + width)`` holds the integer value
   ``(x >> offset) & (2**width - 1)``.
-* Tolerances follow a three-level ladder: 1e-10 for single-gate checks,
-  1e-9 for whole-circuit checks, 1e-8 for input validation.
+* Tolerances follow a two-level ladder: 1e-9 for whole-circuit checks,
+  1e-8 for input validation.  A NOT gate permutes amplitudes exactly, so
+  single gates need no tolerance of their own.
 
 This is a desk-scale exact simulator (intended for <= ~20 qubits); there is
 no mixed-state evolution and no noise model.  All operations either return
@@ -18,12 +19,11 @@ or shares mutable state, so distinct states can be processed concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-ATOL_GATE = 1e-10
 ATOL_CIRCUIT = 1e-9
 ATOL_INPUT = 1e-8
 
@@ -163,138 +163,62 @@ def prepare_amplitudes(num_qubits: int, amplitudes) -> StateVector:
     return StateVector(num_qubits, amps / norm)
 
 
-def extend_with_zeros(state: StateVector, extra_qubits: int) -> StateVector:
-    """Tensor |0>^extra onto the top (most significant) end of the register."""
-    if extra_qubits < 0:
-        raise ValueError("extra_qubits must be >= 0")
-    if extra_qubits == 0:
-        return state.copy()
-    amps = np.zeros(state.dim << extra_qubits, dtype=np.complex128)
-    amps[: state.dim] = state.amplitudes
-    return StateVector(state.num_qubits + extra_qubits, amps)
-
-
 # ---------------------------------------------------------------------------
 # gates
 
-_NOT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_NOT.flags.writeable = _HADAMARD.flags.writeable = False  # shared by every such gate
 
-KIND_NOT = "not"
-KIND_HADAMARD = "hadamard"
-KIND_PHASE = "phase"
-KIND_UNITARY = "unitary"
-
-
-def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
-    out = []
-    for c in controls:
-        if isinstance(c, (tuple, list)):
-            qubit, polarity = int(c[0]), int(c[1])
-        else:
-            qubit, polarity = int(c), 1
-        if polarity not in (0, 1):
-            raise ValueError(f"control polarity must be 0 or 1, got {polarity}")
-        out.append((qubit, polarity))
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class Gate:
-    """A 2x2 unitary on one target qubit with optional polarity-tagged controls.
+class Gate(tuple):
+    """A NOT on one target qubit, fired by polarity-tagged controls.
 
     ``controls`` is a tuple of (qubit, polarity) pairs; polarity 1 means the
     gate fires when that qubit is |1> (a solid control), polarity 0 when it
-    is |0> (a negative control).
+    is |0> (a negative control).  Every circuit in the package is built from
+    these, so each is a permutation of basis states and a gate is its own
+    inverse.  ``mask`` and ``value`` are computed once, when the gate is
+    built: basis index ``x`` fires the gate iff ``x & mask == value``.
+
+    Build one with ``Gate.x(target, controls)``; a control given as a bare
+    qubit is solid.  The fields are read-only and always agree with
+    ``controls``.
     """
 
-    kind: str
-    target: int
-    controls: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-    angle: float | None = None
+    # A tuple subclass and not a NamedTuple, whose ``_make`` and ``_replace``
+    # would build a gate whose mask disagrees with its controls.
+    __slots__ = ()
 
-    def __post_init__(self):
-        # the module's own constants are unitary; matrices from callers are checked
-        if self.matrix is not _NOT and self.matrix is not _HADAMARD:
-            m = np.asarray(self.matrix, dtype=np.complex128)
-            if m.shape != (2, 2):
-                raise ValueError("gate matrix must be 2x2")
-            if np.max(np.abs(m.conj().T @ m - np.eye(2))) > ATOL_GATE:
-                raise ValueError("gate matrix is not unitary within 1e-10")
-            object.__setattr__(self, "matrix", m)
-        seen = {self.target}
-        for qubit, _ in self.controls:
-            if qubit in seen:
-                raise ValueError(f"target/control qubits overlap on {qubit}")
-            seen.add(qubit)
-        if min(seen) < 0:
+    target = property(itemgetter(0))
+    controls = property(itemgetter(1))
+    mask = property(itemgetter(2))
+    value = property(itemgetter(3))
+
+    def __new__(cls, target: int, controls=()):
+        if target < 0:
             raise ValueError("qubit indices must be non-negative")
-
-    # -- constructors -------------------------------------------------
+        mask = value = 0
+        pairs = []
+        for c in controls:
+            if isinstance(c, (tuple, list)):
+                qubit, polarity = int(c[0]), int(c[1])
+            else:
+                qubit, polarity = int(c), 1
+            if polarity not in (0, 1):
+                raise ValueError(f"control polarity must be 0 or 1, got {polarity}")
+            if qubit < 0:
+                raise ValueError("qubit indices must be non-negative")
+            bit = 1 << qubit
+            if mask & bit or qubit == target:
+                raise ValueError(f"target/control qubits overlap on {qubit}")
+            mask |= bit
+            value |= polarity << qubit
+            pairs.append((qubit, polarity))
+        return super().__new__(cls, (target, tuple(pairs), mask, value))
 
     @classmethod
     def x(cls, target: int, controls=()) -> "Gate":
-        return cls(KIND_NOT, target, _normalize_controls(controls), _NOT)
+        return cls(target, controls)
 
-    @classmethod
-    def h(cls, target: int, controls=()) -> "Gate":
-        return cls(KIND_HADAMARD, target, _normalize_controls(controls), _HADAMARD)
-
-    @classmethod
-    def phase(cls, angle: float, target: int, controls=()) -> "Gate":
-        m = np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=np.complex128)
-        return cls(KIND_PHASE, target, _normalize_controls(controls), m, angle=float(angle))
-
-    @classmethod
-    def unitary(cls, matrix, target: int, controls=()) -> "Gate":
-        return cls(KIND_UNITARY, target, _normalize_controls(controls), matrix)
-
-    # -- algebra ------------------------------------------------------
-
-    def inverse(self) -> "Gate":
-        if self.kind in (KIND_NOT, KIND_HADAMARD):
-            return self
-        if self.kind == KIND_PHASE:
-            return Gate.phase(-self.angle, self.target, self.controls)
-        return Gate(KIND_UNITARY, self.target, self.controls, self.matrix.conj().T)
-
-    def max_qubit(self) -> int:
-        return max([self.target] + [q for q, _ in self.controls])
-
-
-def _control_mask(gate: Gate, dim: int) -> np.ndarray:
-    """Boolean mask of basis indices whose target bit is 0 and controls fire."""
-    idx = np.arange(dim)
-    mask = (idx >> gate.target) & 1 == 0
-    for qubit, polarity in gate.controls:
-        mask &= ((idx >> qubit) & 1) == polarity
-    return mask
-
-
-def apply_gate_inplace(amplitudes: np.ndarray, gate: Gate) -> None:
-    """Apply a gate to a raw amplitude array, in place."""
-    dim = amplitudes.size
-    mask = _control_mask(gate, dim)
-    i0 = np.nonzero(mask)[0]
-    i1 = i0 | (1 << gate.target)
-    a0 = amplitudes[i0]
-    a1 = amplitudes[i1]
-    m = gate.matrix
-    amplitudes[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    amplitudes[i1] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Return the new state after applying one (controlled) gate."""
-    if gate.max_qubit() >= state.num_qubits:
-        raise ValueError(
-            f"gate touches qubit {gate.max_qubit()} but state has {state.num_qubits} qubits"
-        )
-    amps = state.amplitudes.copy()
-    apply_gate_inplace(amps, gate)
-    return StateVector(state.num_qubits, amps)
+    def __repr__(self):
+        return f"Gate.x({self.target}, {self.controls})"
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +284,6 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     if s1.num_qubits != s2.num_qubits:
         raise ValueError("inner product needs equal qubit counts")
     return complex(np.vdot(s1.amplitudes, s2.amplitudes))
-
-
-def pure_density(state: StateVector) -> np.ndarray:
-    """Rank-1 density matrix |psi><psi| of a pure state."""
-    a = state.amplitudes
-    return np.outer(a, a.conj())
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

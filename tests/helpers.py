@@ -3,24 +3,27 @@
 The dense-matrix builders here deliberately avoid the simulator's vectorized
 application path: they assemble operators column by column from projector
 algebra, so agreement between the two is a real check and not a tautology.
+
+The gate-level reference simulator lives here as well: ``apply_gate`` runs
+one NOT gate on a full amplitude array, reading its firing condition from
+``gate.controls`` (never from the ``mask``/``value`` the gate computed when it
+was built, which ``Circuit.images`` uses), and ``GroverIterate`` runs the
+counting iterate on the full ``2**work``-amplitude register.  The package's
+fast paths are tested against them.
 """
 
 import numpy as np
 
+from q3pen.statevec import StateVector
+
 
 def dense_gate_matrix(gate, num_qubits: int) -> np.ndarray:
-    """Full 2^q x 2^q matrix of a controlled gate, built classically."""
+    """Full 2^q x 2^q permutation matrix of a controlled NOT, built classically."""
     dim = 1 << num_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for x in range(dim):
-        if any(((x >> q) & 1) != pol for q, pol in gate.controls):
-            mat[x, x] = 1.0
-            continue
-        tbit = (x >> gate.target) & 1
-        x0 = x & ~(1 << gate.target)
-        x1 = x0 | (1 << gate.target)
-        mat[x0, x] += gate.matrix[0, tbit]
-        mat[x1, x] += gate.matrix[1, tbit]
+        fires = all(((x >> q) & 1) == pol for q, pol in gate.controls)
+        mat[x ^ (1 << gate.target) if fires else x, x] = 1.0
     return mat
 
 
@@ -42,3 +45,89 @@ def basis_component(layout, **values) -> int:
             raise ValueError(f"{value} does not fit segment {name}")
         x |= value << seg.offset
     return x
+
+
+# ---------------------------------------------------------------------------
+# gate-level reference
+
+
+def _control_mask(gate, dim: int) -> np.ndarray:
+    """Boolean mask of basis indices whose target bit is 0 and controls fire."""
+    idx = np.arange(dim)
+    mask = (idx >> gate.target) & 1 == 0
+    for qubit, polarity in gate.controls:
+        mask &= ((idx >> qubit) & 1) == polarity
+    return mask
+
+
+def apply_gate_inplace(amplitudes: np.ndarray, gate) -> None:
+    """Apply one NOT gate to a raw amplitude array, in place: the amplitudes
+    of each firing pair of basis states swap."""
+    i0 = np.nonzero(_control_mask(gate, amplitudes.size))[0]
+    i1 = i0 | (1 << gate.target)
+    amplitudes[i0], amplitudes[i1] = amplitudes[i1], amplitudes[i0]
+
+
+def apply_gate(state: StateVector, gate) -> StateVector:
+    """Return the new state after applying one (controlled) NOT gate."""
+    top = max([gate.target] + [q for q, _ in gate.controls])
+    if top >= state.num_qubits:
+        raise ValueError(f"gate touches qubit {top} but state has {state.num_qubits} qubits")
+    amps = state.amplitudes.copy()
+    apply_gate_inplace(amps, gate)
+    return StateVector(state.num_qubits, amps)
+
+
+def extend_with_zeros(state: StateVector, extra_qubits: int) -> StateVector:
+    """Tensor |0>^extra onto the top (most significant) end of the register."""
+    if extra_qubits < 0:
+        raise ValueError("extra_qubits must be >= 0")
+    if extra_qubits == 0:
+        return state.copy()
+    amps = np.zeros(state.dim << extra_qubits, dtype=np.complex128)
+    amps[: state.dim] = state.amplitudes
+    return StateVector(state.num_qubits + extra_qubits, amps)
+
+
+def ancillas_clean(circuit, basis_index: int) -> bool:
+    """True if a basis input with zeroed ancillas leaves them zeroed."""
+    if circuit.ancilla is None:
+        return True
+    seg = circuit.layout[circuit.ancilla]
+    if seg.value(basis_index) != 0:
+        raise ValueError("ancillas_clean expects an input with zeroed ancillas")
+    dim = 1 << circuit.layout.num_qubits
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[basis_index] = 1.0
+    circuit.apply_to_array(amps)
+    support = np.nonzero(np.abs(amps) > 1e-12)[0]
+    return all(seg.value(int(x)) == 0 for x in support)
+
+
+class GroverIterate:
+    """Q = A . S_0 . A^-1 . S_f over a given state preparation, on the full
+    ``2**work``-amplitude register."""
+
+    def __init__(self, state_prep, flag_qubit: int):
+        for attr in ("apply_to_array", "inverse_to_array", "num_qubits"):
+            if not hasattr(state_prep, attr):
+                raise ValueError("state preparation must expose an exact inverse")
+        if not 0 <= flag_qubit < state_prep.num_qubits:
+            raise ValueError(f"flag qubit {flag_qubit} outside the prepared register")
+        self.state_prep = state_prep
+        self.flag_qubit = flag_qubit
+        self.num_qubits = state_prep.num_qubits
+        idx = np.arange(1 << self.num_qubits)
+        self._flag_sign = np.where((idx >> flag_qubit) & 1, -1.0, 1.0)
+
+    def apply_to_array(self, amps: np.ndarray) -> np.ndarray:
+        """Q on a raw amplitude array; returns a new array, ``amps`` is kept."""
+        amps = amps * self._flag_sign         # S_f
+        amps = self.state_prep.inverse_to_array(amps)
+        amps[0] *= -1.0                       # S_0
+        return self.state_prep.apply_to_array(amps)
+
+    def apply(self, state: StateVector) -> StateVector:
+        if state.num_qubits != self.num_qubits:
+            raise ValueError("state size does not match the iterate")
+        return StateVector(self.num_qubits, self.apply_to_array(state.amplitudes.copy()))

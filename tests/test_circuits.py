@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from helpers import basis_component, dense_circuit_matrix
+from helpers import ancillas_clean, basis_component, dense_circuit_matrix
 from q3pen.circuits import (
     PriceScenario,
-    ancillas_clean,
     announcement_layout,
     brute_force_count,
     build_comparator,
@@ -155,20 +154,21 @@ def test_comparator_specific_pairs():
         assert abs(out.amplitudes[y] - 1.0) < 1e-12, (a, b, expected)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", range(1, 9))
 def test_comparator_full_truth_table(d):
+    # every (a, b, flag-in) basis index at once; at d = 8 the layout has 26
+    # qubits, too many for a dense register, so the indices go through images
     layout, circ = comparator_fixture(d)
-    for a in range(1 << d):
-        for b in range(1 << d):
-            x = basis_component(layout, priceA=a, priceB=b)
-            out = circ.apply(prepare_basis(layout.num_qubits, x))
-            support = np.nonzero(np.abs(out.amplitudes) > 1e-12)[0]
-            assert len(support) == 1
-            y = int(support[0])
-            assert layout["flag"].value(y) == classical_f(a, b)
-            assert layout["priceA"].value(y) == a  # inputs restored
-            assert layout["priceB"].value(y) == b
-            assert layout["ancilla"].value(y) == 0  # scratch uncomputed
+    a, b, flag_in = (v.ravel() for v in np.meshgrid(
+        np.arange(1 << d), np.arange(1 << d), np.arange(2), indexing="ij"))
+    x = (a << layout["priceA"].offset) | (b << layout["priceB"].offset) | (flag_in << layout["flag"].offset)
+    y = circ.images(x)
+    expected = np.array([classical_f(int(p), int(q)) for p, q in zip(a, b)]) ^ flag_in
+    assert np.array_equal(layout["flag"].value(y), expected)
+    assert np.array_equal(layout["priceA"].value(y), a)  # inputs restored
+    assert np.array_equal(layout["priceB"].value(y), b)
+    assert not layout["ancilla"].value(y).any()  # scratch uncomputed
+    assert not layout["index"].value(y).any()
 
 
 def test_comparator_equal_inputs_always_flag_one():

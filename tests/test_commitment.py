@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -41,6 +42,19 @@ def test_random_code_deterministic_per_seed():
     a = make_random_code(4, seed=9)
     b = make_random_code(4, seed=9)
     assert np.array_equal(a.generator, b.generator)
+
+
+def test_code_generators_are_pinned():
+    # SHA-256 of the codes that the exhaustive search picked when it built its
+    # message matrix from Python lists: a faster search must pick the same ones.
+    # n = 7 gets few seeds, since each of its searches takes thousands of tries.
+    digest = hashlib.sha256()
+    codes = [make_random_code(n, seed=s) for n in range(1, 8) for s in range(40 if n < 7 else 5)]
+    codes += [parity_repetition_code(n) for n in range(1, 10)]
+    for code in codes:
+        digest.update(code.generator.tobytes())
+        digest.update(repr((code.n, code.m, code.delta_code)).encode())
+    assert digest.hexdigest() == "df9b19a0269b97cbf6773f013462e099a82729574a0bff72d6062e39b1ae717b"
 
 
 def test_random_code_rejects_non_expanding():

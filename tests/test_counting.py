@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
+from helpers import GroverIterate
 from q3pen.circuits import PriceScenario, brute_force_count, comparison_layout
 from q3pen.counting import (
     CountingParams,
-    GroverIterate,
     build_state_preparation,
     error_bound,
     honest_held_state,

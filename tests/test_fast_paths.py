@@ -16,6 +16,7 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import apply_gate_inplace, extend_with_zeros
 from q3pen.circuits import Circuit, PriceScenario, comparison_layout
 from q3pen.counting import (
     build_state_preparation,
@@ -24,14 +25,7 @@ from q3pen.counting import (
     uniform_index_unitary,
 )
 from q3pen.protocol import load_received_state, prepare_announced_state, write_comparison_flag
-from q3pen.statevec import (
-    Gate,
-    RegisterLayout,
-    Segment,
-    apply_gate_inplace,
-    extend_with_zeros,
-    measure,
-)
+from q3pen.statevec import Gate, RegisterLayout, Segment, measure
 
 SETTINGS = settings(max_examples=40, deadline=None)
 

@@ -218,9 +218,9 @@ def test_capacity_guard(worked_example):
 
 def test_party_validation():
     with pytest.raises(ValueError):
-        Party("carol", (1,))
+        Party("carol")
     with pytest.raises(ValueError):
-        Party("alice", (1,), behavior="improvise")
+        Party("alice", behavior="improvise")
     with pytest.raises(ValueError):
         run_with_adversary(PriceScenario(A=(1,), B=(1,), epsilon=1), "bob", "improvise")
 
