@@ -8,23 +8,29 @@ Three builders cover the quantum side of the price comparison:
 * ``build_comparator`` writes ``a >= b`` into a flag qubit, restoring the
   price registers and all scratch ancillas.
 * ``build_flag_oracle`` is the comparator viewed as an oracle acting on the
-  whole superposition produced by the two price oracles.
+  whole superposition produced by the two price oracles; ``flag_oracle``
+  builds it once per (n, d, announcer) and shares it.
 
-All circuits are built from NOT gates with mixed-polarity controls, so every
-circuit is a permutation of basis states and is inverted by reversing its
-gate list.  ``Circuit.images`` runs the gates, in order, on an array of
-basis indices and returns where each one lands: per gate, one compare
-against the control mask and value the gate computed when it was built, and
-one XOR into the target bit.  Applying a circuit to an
+Every oracle is a permutation of basis states, and ``images`` returns where
+each of an array of basis indices lands.  A price oracle is compiled to a
+table ``T`` of ``2**n`` entries, ``T[i] = price_i`` for i = 1..N and 0
+elsewhere, so its images are one gather, ``x ^ (T[index(x)] << offset)``,
+and it is its own inverse.  The NOT gates it stands for (one per set price
+bit, controlled on the product's index) are derived from ``T`` only on
+request, as the reference the tests compare against.  The comparator is a
+``Circuit``: NOT gates with mixed-polarity controls, inverted by reversing
+the gate list, whose ``images`` run the gates in order (per gate, one
+compare against the control mask and value the gate computed when it was
+built, and one XOR into the target bit).  Applying an oracle to an
 amplitude array moves only its support (the nonzero amplitudes) to their
-images, which is exact; a protocol state has few nonzero amplitudes among
-the ``2**work`` it is stored in.
+images, which is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,14 +57,17 @@ def as_int(value, what: str) -> int:
 class PriceScenario:
     """One negotiation instance: buyer prices A, seller prices B, threshold.
 
-    ``n`` and ``d`` are the derived register widths: n indexes the N
-    products (values 1..N, so n = ceil(log2(N+1))) and d holds the largest
-    price.  Prices are non-negative integers in arbitrary currency units.
+    ``n`` and ``d`` are the derived register widths, computed once: n
+    indexes the N products (values 1..N, so n = ceil(log2(N+1))) and d
+    holds the largest price.  Prices are non-negative integers in arbitrary
+    currency units.
     """
 
     A: tuple[int, ...]
     B: tuple[int, ...]
     epsilon: int
+    n: int = field(init=False, repr=False, compare=False)
+    d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = tuple(as_int(a, "price") for a in self.A)
@@ -72,19 +81,13 @@ class PriceScenario:
             raise ValueError("prices must be non-negative")
         if not 1 <= self.epsilon <= len(A):
             raise ValueError(f"threshold {self.epsilon} outside 1..{len(A)}")
+        object.__setattr__(self, "n", len(A).bit_length())  # ceil(log2(N+1)) for N >= 1
+        # width of the widest price; at least 1 so a price register exists
+        object.__setattr__(self, "d", max(1, max(A + B).bit_length()))
 
     @property
     def N(self) -> int:
         return len(self.A)
-
-    @property
-    def n(self) -> int:
-        return self.N.bit_length()  # equals ceil(log2(N+1)) for N >= 1
-
-    @property
-    def d(self) -> int:
-        # width of the widest price; at least 1 so a price register exists
-        return max(1, max(self.A + self.B).bit_length())
 
 
 def brute_force_count(scenario: PriceScenario) -> int:
@@ -93,9 +96,15 @@ def brute_force_count(scenario: PriceScenario) -> int:
 
 
 def announcement_layout(scenario: PriceScenario, owner: str) -> RegisterLayout:
-    """Layout of the (n+d)-qubit state a party announces: index + own price."""
+    """Layout of the (n+d)-qubit state a party announces: index + own price.
+    Built once per (n, d, owner) and shared; do not modify it."""
+    return _announcement_layout(scenario.n, scenario.d, owner)
+
+
+@functools.cache
+def _announcement_layout(n: int, d: int, owner: str) -> RegisterLayout:
     price = "priceA" if owner == "alice" else "priceB"
-    return RegisterLayout(("index", scenario.n), (price, scenario.d))
+    return RegisterLayout(("index", n), (price, d))
 
 
 def comparison_layout(scenario: PriceScenario, announced_by: str, t: int = 0) -> RegisterLayout:
@@ -104,15 +113,21 @@ def comparison_layout(scenario: PriceScenario, announced_by: str, t: int = 0) ->
     The announcer's price register sits directly above the index register,
     the receiving party's register above that; segment names keep the
     buyer/seller roles unambiguous whichever order they are laid out in.
-    ``t > 0`` appends a counting register on top.
+    ``t > 0`` appends a counting register on top.  Built once per
+    (n, d, announcer, t) and shared; do not modify it.
     """
+    return _comparison_layout(scenario.n, scenario.d, announced_by, t)
+
+
+@functools.cache
+def _comparison_layout(n: int, d: int, announced_by: str, t: int) -> RegisterLayout:
     first, second = ("priceA", "priceB") if announced_by == "alice" else ("priceB", "priceA")
     segs = [
-        ("index", scenario.n),
-        (first, scenario.d),
-        (second, scenario.d),
+        ("index", n),
+        (first, d),
+        (second, d),
         ("flag", 1),
-        ("ancilla", scenario.d),  # the comparator's scratch: one qubit per price bit
+        ("ancilla", d),  # the comparator's scratch: one qubit per price bit
     ]
     if t > 0:
         segs.append(("counting", t))
@@ -181,28 +196,70 @@ class Circuit:
         return StateVector(state.num_qubits, amps)
 
 
-def build_price_oracle(prices, layout: RegisterLayout, target: str) -> Circuit:
+@dataclass(frozen=True, eq=False)
+class PriceOracle:
+    """A price list compiled to an index table: ``x -> x ^ (table[i] << o)``
+    with i the index register's value and o the target register's offset.
+
+    ``table`` has ``2**n`` read-only entries, price_i at i = 1..N and 0
+    elsewhere, so index values 0 and > N are left untouched.  An XOR load
+    undoes itself, so the oracle is its own inverse.
+    """
+
+    table: np.ndarray
+    layout: RegisterLayout
+    target: str
+
+    def __len__(self):
+        return sum(price.bit_count() for price in self.table.tolist())
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The NOT gates the table stands for, derived on each access: for
+        each product i and each set bit of price_i, in that order, one NOT on
+        that target bit whose controls spell out i across the index
+        register.  The oracle never runs them; tests check ``images``
+        against them, and gate counts count them."""
+        index, tgt = self.layout["index"], self.layout[self.target]
+        gates = []
+        for i, price in enumerate(self.table.tolist()):
+            if price:
+                controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
+                gates += [Gate.x(tgt.offset + b, controls) for b in range(tgt.width) if price >> b & 1]
+        return tuple(gates)
+
+    def inverse(self) -> "PriceOracle":
+        return self
+
+    def images(self, indices) -> np.ndarray:
+        """Basis index each input index is sent to: one gather through the table."""
+        x = np.array(indices, dtype=np.intp)
+        x ^= self.table[self.layout["index"].value(x)] << self.layout[self.target].offset
+        return x
+
+    # a permutation of basis states moves amplitudes the way a circuit does
+    apply_to_array = Circuit.apply_to_array
+    apply = Circuit.apply
+
+
+def build_price_oracle(prices, layout: RegisterLayout, target: str) -> PriceOracle:
     """XOR-load a price list into ``target``, controlled on the index register.
 
-    Product i (1-based) occupies index value i; each set bit of price_i
-    becomes one multi-controlled NOT whose controls spell out the binary
-    pattern of i across the index register.  Index values 0 and > N are left
-    untouched.
+    Product i (1-based) occupies index value i; the list is compiled, in
+    O(N), to the oracle's table.  Index values 0 and > N are left untouched.
     """
     index = layout["index"]
     tgt = layout[target]
     prices = [int(p) for p in prices]
     if len(prices) >= 1 << index.width:
         raise ValueError(f"{len(prices)} products do not fit an index register of width {index.width}")
-    gates = []
-    for i, price in enumerate(prices, start=1):
-        if price >= 1 << tgt.width:
-            raise ValueError(f"price {price} needs more than {tgt.width} bits")
-        controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
-        for b in range(tgt.width):
-            if (price >> b) & 1:
-                gates.append(Gate.x(tgt.offset + b, controls))
-    return Circuit(tuple(gates), layout, name=f"load-{target}")
+    for price in prices:
+        if not 0 <= price < 1 << tgt.width:
+            raise ValueError(f"price {price} is not a {tgt.width}-bit unsigned integer")
+    table = np.zeros(1 << index.width, dtype=np.intp)
+    table[1 : len(prices) + 1] = prices
+    table.flags.writeable = False
+    return PriceOracle(table, layout, target)
 
 
 def build_comparator(d: int, layout: RegisterLayout) -> Circuit:
@@ -258,3 +315,11 @@ def build_flag_oracle(layout: RegisterLayout) -> Circuit:
     flag, so a pre-set flag is flipped back where the comparison holds).
     """
     return build_comparator(layout["priceA"].width, layout)
+
+
+@functools.cache
+def flag_oracle(n: int, d: int, announced_by: str) -> Circuit:
+    """The flag oracle on the comparison layout of an n-bit index, d-bit
+    prices and the given announcer.  It depends on nothing else, so it is
+    built once per (n, d, announcer) and shared."""
+    return build_flag_oracle(_comparison_layout(n, d, announced_by, 0))

@@ -27,9 +27,9 @@ the flag bit of each held index, ``Q`` there is the N x N matrix
 ``(I - 2|psi><psi|) . diag((-1)**f)``.  The protocol passes the state a
 party holds after Steps 2-3; without one, the honest state is built from the
 comparison oracles: the images of index values 1..N, each with amplitude
-1/sqrt(N).  Either way the flag bits are read from gate-level circuit
-images, not from the classical comparison.  The joint state over the
-counting register is expanded into rows ``Q^k |psi>``, filled by doubling
+1/sqrt(N).  Either way the flag bits are read from the flag oracle's
+gate-level images, not from the classical comparison.  The joint state over
+the counting register is expanded into rows ``Q^k |psi>``, filled by doubling
 (``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
 products in all), and the inverse quantum Fourier transform is applied as an
 FFT along the counting axis, which is arithmetically identical to the
@@ -159,7 +159,7 @@ def uniform_index_unitary(n: int, N: int) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v)
 
 
-def comparison_oracles(scenario: PriceScenario, announced_by: str) -> tuple[circuits.Circuit, ...]:
+def comparison_oracles(scenario: PriceScenario, announced_by: str) -> tuple:
     """The announcer's price oracle, the receiver's, then the flag oracle,
     on the comparison layout of the state ``announced_by`` sends."""
     layout = circuits.comparison_layout(scenario, announced_by)
@@ -167,7 +167,7 @@ def comparison_oracles(scenario: PriceScenario, announced_by: str) -> tuple[circ
     if announced_by == "bob":
         loads.reverse()
     oracles = [circuits.build_price_oracle(prices, layout, target) for target, prices in loads]
-    return (*oracles, circuits.build_flag_oracle(layout))
+    return (*oracles, circuits.flag_oracle(scenario.n, scenario.d, announced_by))
 
 
 def build_state_preparation(scenario: PriceScenario, announced_by: str = "alice") -> StatePreparation:

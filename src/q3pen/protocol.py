@@ -3,32 +3,35 @@
 The run alternates between the buyer ("alice") and the seller ("bob"):
 
 1. each party injects the uniform index superposition, loads its own prices,
-   and sends the resulting (n+d)-qubit state to the other;
-2. the receiver takes the support of the received state (at most N basis
-   indices and their amplitudes; extending the register by zeros on top
-   leaves those indices unchanged) and pushes it through its own price
-   oracle;
+   and sends the resulting (n+d)-qubit state to the other; the state travels
+   as its support, an ``AnnouncedState``: the N basis indices
+   ``i | price_i << n`` (the images of index values 1..N under the party's
+   price oracle) and their amplitudes ``1/sqrt(N)``;
+2. the receiver pushes those indices through its own price oracle
+   (extending the register by zeros on top leaves them unchanged);
 3. the receiver writes the comparison flag by pushing the same indices
    through the flag oracle; what it holds is a ``HeldState``, indices on the
-   comparison layout with their amplitudes, and no ``2**work`` array is
-   ever allocated;
+   comparison layout with their amplitudes.  Steps 1-3 are table lookups
+   and index permutations of N basis states: no negotiation allocates a
+   ``2**(n+d)`` or ``2**work`` array or builds a gate to load prices;
 4. each party counts the state it holds, in the span of that support;
 5. the counts are exchanged under bit-string commitment (fingerprint state,
    classical unveil, projective verification) and checked for consistency
    |t_A - t_B| <= delta;
 6. trade happens iff both counts reach the threshold.
 
-Sending a quantum state is modeled as transferring ownership of a
-StateVector through an in-process channel at a cost equal to its qubit
+Sending a quantum state is modeled as transferring ownership of its
+support (the Step-1 ``AnnouncedState``) or of a ``StateVector`` (the Step-5
+fingerprint) through an in-process channel at a cost equal to its qubit
 count; classical messages cost their bit length.  The headline cost of an
 honest run is 2(n+d) qubits plus 2n cbits, with the Step-5 fingerprint
 qubits accounted as a separate line item.
 
 Adversarial behaviors are scripted, not emergent: "measure-and-cheat"
-measures the received state in Step 2 (learning exactly one (i, price_i)
-pair and destroying its own ability to count), then unveils a copy of the
-honest party's count to survive the consistency check, which the
-commitment verification catches; "false-unveil" counts honestly but
+measures every qubit of the received state in Step 2 (``measure_announced``,
+learning exactly one (i, price_i) pair and destroying its own ability to
+count), then unveils a copy of the honest party's count to survive the
+consistency check, which the commitment verification catches; "false-unveil" counts honestly but
 unveils a different value.  Counting assumes the held state is
 ``A|0...0>``, so a collapsed state is never counted: the measuring cheater
 reports a scripted guess instead.
@@ -37,6 +40,7 @@ reports a scripted guess instead.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -51,10 +55,7 @@ from .statevec import (
     ATOL_INPUT,
     DEFAULT_MAX_QUBITS,
     CapacityError,
-    Segment,
     StateVector,
-    measure,
-    prepare_amplitudes,
     sample_outcomes,
 )
 
@@ -95,7 +96,7 @@ class ChannelMessage:
     qubit_cost: int
     cbit_cost: int
     value: int | None = None
-    payload: StateVector | None = field(default=None, repr=False, compare=False)
+    payload: AnnouncedState | StateVector | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -208,43 +209,63 @@ def transcript_costs(transcript: NegotiationTranscript) -> CostSummary:
 # state construction helpers
 
 
-def prepare_announced_state(scenario: PriceScenario, owner: str) -> StateVector:
-    """The (n+d)-qubit state a party sends in Step 1: uniform index
-    superposition with its own prices XOR-loaded alongside."""
+class AnnouncedState(NamedTuple):
+    """An announced (n+d)-qubit state as its support: basis indices in
+    ascending order and their amplitudes; every other amplitude is zero."""
+
+    num_qubits: int
+    indices: np.ndarray
+    amplitudes: np.ndarray
+
+
+def prepare_announced_state(scenario: PriceScenario, owner: str) -> AnnouncedState:
+    """The state a party sends in Step 1: the uniform superposition over
+    index values 1..N with its own prices XOR-loaded alongside, i.e. the
+    indices ``i | price_i << n`` with amplitude ``1/sqrt(N)`` each."""
     layout = circuits.announcement_layout(scenario, owner)
-    amps = np.zeros(1 << layout.num_qubits, dtype=np.complex128)
-    amps[1 : scenario.N + 1] = 1.0  # price bits zero, index values 1..N
-    state = prepare_amplitudes(layout.num_qubits, amps)
-    prices = scenario.A if owner == "alice" else scenario.B
-    target = "priceA" if owner == "alice" else "priceB"
+    prices, target = (scenario.A, "priceA") if owner == "alice" else (scenario.B, "priceB")
     oracle = circuits.build_price_oracle(prices, layout, target)
-    return oracle.apply(state)
+    indices = np.sort(oracle.images(np.arange(1, scenario.N + 1)))
+    amplitudes = np.full(scenario.N, 1.0 / math.sqrt(scenario.N), dtype=np.complex128)
+    return AnnouncedState(layout.num_qubits, indices, amplitudes)
+
+
+def measure_announced(state: AnnouncedState, rng: np.random.Generator) -> tuple[int, AnnouncedState]:
+    """Measure every qubit of an announced state: ``(outcome, collapsed)``.
+
+    One ``rng.random()`` picks a support entry by inverse CDF over
+    ``|a|**2`` in ascending basis-index order.  Zero amplitudes add nothing
+    to a CDF, so the outcome and the collapsed state are those
+    ``statevec.measure`` gives on the dense register for the same draw.
+    """
+    k = int(sample_outcomes(np.abs(state.amplitudes) ** 2, rng.random()))
+    amplitude = state.amplitudes[k : k + 1]
+    collapsed = state._replace(indices=state.indices[k : k + 1],
+                               amplitudes=amplitude / np.linalg.norm(amplitude))
+    return int(state.indices[k]), collapsed
 
 
 def load_received_state(scenario: PriceScenario, announced_by: str,
-                        state: StateVector) -> HeldState:
+                        state: AnnouncedState) -> HeldState:
     """Step 2 on a received state: its support, with the receiver's prices
     loaded alongside, as indices on the comparison layout."""
     width = circuits.announcement_layout(scenario, announced_by).num_qubits
     if state.num_qubits != width:
         raise ValueError(f"received a {state.num_qubits}-qubit state; the announcement has {width}")
-    indices = np.flatnonzero(state.amplitudes)
-    amplitudes = state.amplitudes[indices]
-    norm = float(np.linalg.norm(amplitudes))
+    norm = float(np.linalg.norm(state.amplitudes))
     if abs(norm - 1.0) > ATOL_INPUT:
         raise ValueError(f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
     layout = circuits.comparison_layout(scenario, announced_by)
-    receiver_prices = scenario.B if announced_by == "alice" else scenario.A
-    receiver_target = "priceB" if announced_by == "alice" else "priceA"
-    oracle = circuits.build_price_oracle(receiver_prices, layout, receiver_target)
-    return HeldState(oracle.images(indices), amplitudes)
+    prices, target = (scenario.B, "priceB") if announced_by == "alice" else (scenario.A, "priceA")
+    oracle = circuits.build_price_oracle(prices, layout, target)
+    return HeldState(oracle.images(state.indices), state.amplitudes)
 
 
 def write_comparison_flag(scenario: PriceScenario, announced_by: str,
                           held: HeldState) -> HeldState:
     """Step 3 on a held state: the flag oracle applied to its indices."""
-    layout = circuits.comparison_layout(scenario, announced_by)
-    return held._replace(indices=circuits.build_flag_oracle(layout).images(held.indices))
+    oracle = circuits.flag_oracle(scenario.n, scenario.d, announced_by)
+    return held._replace(indices=oracle.images(held.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +367,10 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     t0 = clock()
     if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE:
         victim = "alice" if cheater.role == "bob" else "bob"
-        received = announced[victim]
-        outcome, collapsed = measure(
-            received, Segment("all", 0, received.num_qubits), adversary_rng
-        )
-        announced[victim] = collapsed  # the superposition is gone for good
-        idx_width = scenario.n
-        learned_index = outcome & ((1 << idx_width) - 1)
-        learned_price = outcome >> idx_width
-        transcript.adversary["learned"] = {"index": learned_index, "price": learned_price}
+        # the superposition is gone for good
+        outcome, announced[victim] = measure_announced(announced[victim], adversary_rng)
+        transcript.adversary["learned"] = {"index": outcome & ((1 << scenario.n) - 1),
+                                           "price": outcome >> scenario.n}
 
     loaded = {announced_by: load_received_state(scenario, announced_by, state)
               for announced_by, state in announced.items()}
@@ -483,23 +499,21 @@ def measurement_attack_statistics(scenario: PriceScenario, trials: int,
 
     The pre-measurement state is identical on every run (preparation is
     deterministic), so each trial is one full projective measurement of a
-    fresh copy; a run reveals exactly one (index, price) pair and nothing
-    else.  Sampling is vectorized over trials.
+    fresh copy, drawn on the Step-1 support as ``measure_announced`` draws
+    it; a run reveals exactly one (index, price) pair and nothing else.
+    Sampling and the check of every observed pair against the victim's
+    price list are vectorized over trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     state = prepare_announced_state(scenario, victim)
     rng = np.random.default_rng(seed)
-    outcomes = sample_outcomes(state.probabilities(), rng.random(trials))
+    outcomes = state.indices[sample_outcomes(np.abs(state.amplitudes) ** 2, rng.random(trials))]
 
-    prices = scenario.A if victim == "alice" else scenario.B
-    mask = (1 << scenario.n) - 1
-    indices = outcomes & mask
-    observed_prices = outcomes >> scenario.n
-    valid = bool(
-        np.all((indices >= 1) & (indices <= scenario.N))
-        and all(observed_prices[k] == prices[indices[k] - 1] for k in range(trials))
-    )
+    prices = np.array((0, *(scenario.A if victim == "alice" else scenario.B)))  # index 1..N
+    indices = outcomes & ((1 << scenario.n) - 1)
+    valid = bool(np.all((indices >= 1) & (indices <= scenario.N))
+                 and np.array_equal(prices[indices], outcomes >> scenario.n))
     counts = np.bincount(indices, minlength=scenario.N + 1)
     return AttackStatistics(
         trials=trials,

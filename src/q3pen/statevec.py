@@ -7,9 +7,9 @@ Conventions used throughout the package:
   state ``|x>`` lives at position ``x`` of the amplitude array, and a
   register segment ``[offset, offset + width)`` holds the integer value
   ``(x >> offset) & (2**width - 1)``.
-* Tolerances follow a two-level ladder: 1e-9 for whole-circuit checks,
-  1e-8 for input validation.  A NOT gate permutes amplitudes exactly, so
-  single gates need no tolerance of their own.
+* Input validation uses a tolerance of 1e-8 (``ATOL_INPUT``).  A NOT gate
+  permutes amplitudes exactly, so gates and circuits need no tolerance of
+  their own.
 
 This is a desk-scale exact simulator (intended for <= ~20 qubits); there is
 no mixed-state evolution and no noise model.  All operations either return
@@ -24,7 +24,6 @@ from operator import itemgetter
 
 import numpy as np
 
-ATOL_CIRCUIT = 1e-9
 ATOL_INPUT = 1e-8
 
 DEFAULT_MAX_QUBITS = 20

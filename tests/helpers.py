@@ -5,11 +5,13 @@ application path: they assemble operators column by column from projector
 algebra, so agreement between the two is a real check and not a tautology.
 
 The gate-level reference simulator lives here as well: ``apply_gate`` runs
-one NOT gate on a full amplitude array, reading its firing condition from
-``gate.controls`` (never from the ``mask``/``value`` the gate computed when it
-was built, which ``Circuit.images`` uses), and ``GroverIterate`` runs the
-counting iterate on the full ``2**work``-amplitude register.  The package's
-fast paths are tested against them.
+one NOT gate on a full amplitude array and ``gate_images`` runs a gate list
+on basis indices, both reading the firing condition from ``gate.controls``
+(never from the ``mask``/``value`` the gate computed when it was built,
+which ``Circuit.images`` uses), and ``GroverIterate`` runs the counting
+iterate on the full ``2**work``-amplitude register.  ``dense_state`` expands
+a state sent as its support into the full register.  The package's fast
+paths are tested against them.
 """
 
 import numpy as np
@@ -47,6 +49,14 @@ def basis_component(layout, **values) -> int:
     return x
 
 
+def dense_state(state) -> StateVector:
+    """The full-register ``StateVector`` of a state given as its support
+    (``num_qubits``, ``indices``, ``amplitudes``)."""
+    amps = np.zeros(1 << state.num_qubits, dtype=np.complex128)
+    amps[state.indices] = state.amplitudes
+    return StateVector(state.num_qubits, amps)
+
+
 # ---------------------------------------------------------------------------
 # gate-level reference
 
@@ -66,6 +76,17 @@ def apply_gate_inplace(amplitudes: np.ndarray, gate) -> None:
     i0 = np.nonzero(_control_mask(gate, amplitudes.size))[0]
     i1 = i0 | (1 << gate.target)
     amplitudes[i0], amplitudes[i1] = amplitudes[i1], amplitudes[i0]
+
+
+def gate_images(gates, indices) -> np.ndarray:
+    """Basis index each input index is sent to, the gates run one by one."""
+    x = np.array(indices, dtype=np.int64)
+    for gate in gates:
+        fires = np.ones(x.shape, dtype=bool)
+        for qubit, polarity in gate.controls:
+            fires &= ((x >> qubit) & 1) == polarity
+        x ^= fires.astype(np.int64) << gate.target
+    return x
 
 
 def apply_gate(state: StateVector, gate) -> StateVector:

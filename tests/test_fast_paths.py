@@ -3,6 +3,10 @@
 * a circuit moves amplitudes, dense or sparse, exactly as applying its NOT
   gates one by one with ``apply_gate_inplace``, and the inverse circuit's
   images undo its images;
+* a price oracle's table images equal the images of the NOT gates it stands
+  for, run one by one, on every basis index of both layouts it is built on;
+* measuring an announced state on its support gives the outcome and the
+  collapsed state that ``statevec.measure`` gives on the dense register;
 * a state preparation's inverse undoes its forward map;
 * Steps 2-3 run on the support of the received state hold exactly the
   nonzero amplitudes of the dense register those steps used to build gate
@@ -16,15 +20,27 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import apply_gate_inplace, extend_with_zeros
-from q3pen.circuits import Circuit, PriceScenario, comparison_layout
+from helpers import apply_gate_inplace, dense_state, extend_with_zeros, gate_images
+from q3pen.circuits import (
+    Circuit,
+    PriceScenario,
+    announcement_layout,
+    build_price_oracle,
+    comparison_layout,
+)
 from q3pen.counting import (
     build_state_preparation,
     comparison_oracles,
     phase_register_distribution,
     uniform_index_unitary,
 )
-from q3pen.protocol import load_received_state, prepare_announced_state, write_comparison_flag
+from q3pen.protocol import (
+    AnnouncedState,
+    load_received_state,
+    measure_announced,
+    prepare_announced_state,
+    write_comparison_flag,
+)
 from q3pen.statevec import Gate, RegisterLayout, Segment, measure
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -73,6 +89,67 @@ def test_compiled_permutation_matches_gate_by_gate(circuit, seed, density):
     assert np.array_equal(circuit.inverse().images(circuit.images(x)), x)
 
 
+def reference_price_gates(prices, layout, target):
+    """The NOT list a price oracle stands for, built as gates: one per set
+    bit of price_i, controlled on the binary pattern of i."""
+    index, tgt = layout["index"], layout[target]
+    gates = []
+    for i, price in enumerate(prices, start=1):
+        controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
+        gates += [Gate.x(tgt.offset + b, controls) for b in range(tgt.width) if (price >> b) & 1]
+    return tuple(gates)
+
+
+@SETTINGS
+@given(scenarios(), st.sampled_from(["alice", "bob"]), st.integers(0, 2**32 - 1))
+def test_price_oracle_table_matches_its_gates(scenario, announced_by, seed):
+    receiver = "bob" if announced_by == "alice" else "alice"
+    cases = [(announcement_layout(scenario, announced_by), announced_by)]
+    cases += [(comparison_layout(scenario, announced_by), who) for who in (announced_by, receiver)]
+    for layout, owner in cases:
+        prices, target = (scenario.A, "priceA") if owner == "alice" else (scenario.B, "priceB")
+        oracle = build_price_oracle(prices, layout, target)
+        assert oracle.gates == reference_price_gates(prices, layout, target)
+        assert len(oracle) == len(oracle.gates)
+        # every basis index: index 0 and values above N, any target bits set
+        x = np.arange(1 << layout.num_qubits)
+        assert np.max(np.abs(oracle.images(x) - gate_images(oracle.gates, x))) == 0
+        assert np.array_equal(oracle.inverse().images(oracle.images(x)), x)
+        amps = random_amplitudes(seed, x.size)
+        reference = amps.copy()
+        for gate in oracle.gates:
+            apply_gate_inplace(reference, gate)
+        oracle.apply_to_array(amps)
+        assert np.max(np.abs(amps - reference)) == 0.0
+
+
+@st.composite
+def supports(draw):
+    """A normalized state on at most 8 qubits as its ascending support; some
+    amplitudes may be zero."""
+    q = draw(st.integers(1, 8))
+    indices = sorted(draw(st.sets(st.integers(0, (1 << q) - 1), min_size=1, max_size=1 << q)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+    amps[rng.random(len(indices)) < draw(st.floats(0.0, 0.5))] = 0.0
+    if not amps.any():
+        amps[-1] = 1.0
+    return AnnouncedState(q, np.array(indices), amps / np.linalg.norm(amps))
+
+
+@SETTINGS
+@given(supports(), st.integers(0, 2**32 - 1))
+def test_support_measurement_matches_dense_measure(state, seed):
+    dense = dense_state(state)
+    everything = Segment("all", 0, state.num_qubits)
+    on_support, on_dense = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        outcome, collapsed = measure_announced(state, on_support)
+        expected, expected_collapsed = measure(dense, everything, on_dense)
+        assert outcome == expected
+        assert np.max(np.abs(dense_state(collapsed).amplitudes - expected_collapsed.amplitudes)) == 0.0
+
+
 @SETTINGS
 @given(scenarios(), st.sampled_from(["alice", "bob"]), st.integers(0, 2**32 - 1))
 def test_state_preparation_inverse_undoes_forward(scenario, announced_by, seed):
@@ -86,7 +163,7 @@ def received_state(scenario, announced_by, collapse_seed):
     """The announced state, measured in full first when a seed is given."""
     state = prepare_announced_state(scenario, announced_by)
     if collapse_seed is not None:
-        _, state = measure(state, Segment("all", 0, state.num_qubits), collapse_seed)
+        _, state = measure_announced(state, np.random.default_rng(collapse_seed))
     return state
 
 
@@ -106,7 +183,7 @@ def test_sparse_steps_23_match_dense_gate_by_gate(scenario, announced_by, collap
     # reference: extend by zeros, then the receiver's price oracle and the
     # flag oracle gate by gate on the whole working register
     layout = comparison_layout(scenario, announced_by)
-    dense = extend_with_zeros(state, layout.num_qubits - state.num_qubits).amplitudes
+    dense = extend_with_zeros(dense_state(state), layout.num_qubits - state.num_qubits).amplitudes
     _, receiver_oracle, flag_oracle = comparison_oracles(scenario, announced_by)
     for gate in receiver_oracle.gates + flag_oracle.gates:
         apply_gate_inplace(dense, gate)
@@ -117,8 +194,7 @@ def test_sparse_steps_23_match_dense_gate_by_gate(scenario, announced_by, collap
     assert np.max(np.abs(held.amplitudes[order] - dense[support])) == 0.0
     # each held index keeps the index value it was received with, and the
     # comparator's scratch is clean
-    received = np.flatnonzero(state.amplitudes)
-    assert np.array_equal(layout["index"].value(held.indices), layout["index"].value(received))
+    assert np.array_equal(layout["index"].value(held.indices), layout["index"].value(state.indices))
     assert not layout["ancilla"].value(held.indices).any()
 
 

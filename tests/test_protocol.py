@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
+from helpers import dense_state
 from q3pen.circuits import PriceScenario, brute_force_count, comparison_layout
 from q3pen.commitment import empirical_accept_rate, fingerprint_state, parity_repetition_code
 from q3pen import circuits, counting, protocol
@@ -21,7 +22,7 @@ from q3pen.protocol import (
     run_with_adversary,
     transcript_costs,
 )
-from q3pen.statevec import CapacityError, inner_product
+from q3pen.statevec import CapacityError, Gate, inner_product, sample_outcomes
 
 PARAMS = CountingParams(t=6, shots=11)
 
@@ -101,15 +102,32 @@ def test_transcript_timings_recorded(worked_example, monkeypatch):
 
 def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
     # Step 1 builds each announcer's price oracle, Steps 2-3 each receiver's
-    # price oracle and flag oracle; Step 4 builds none
+    # price oracle; Step 4 builds none.  The flag oracle of each announcer is
+    # built once per register shape, and no gate is built to load prices.
     calls = Counter()
     for name in ("build_price_oracle", "build_flag_oracle"):
         def counted(*args, _name=name, _build=getattr(circuits, name), **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
         monkeypatch.setattr(circuits, name, counted)
-    run_negotiation(worked_example, PARAMS, master_seed=1)
-    assert calls == {"build_price_oracle": 4, "build_flag_oracle": 2}
+
+    class CountedGate(Gate):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            calls["Gate"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(circuits, "Gate", CountedGate)
+    circuits.flag_oracle.cache_clear()
+    try:
+        run_negotiation(worked_example, PARAMS, master_seed=1)
+        assert calls["build_price_oracle"] == 4 and calls["build_flag_oracle"] == 2
+        calls.clear()
+        run_negotiation(worked_example, PARAMS, master_seed=2)
+        assert calls == {"build_price_oracle": 4}  # and no Gate
+    finally:
+        circuits.flag_oracle.cache_clear()  # drop the oracles built from CountedGate
 
 
 @pytest.mark.parametrize("cheater", ["alice", "bob"])
@@ -139,6 +157,23 @@ def test_negotiation_allocates_no_working_register():
     finally:
         tracemalloc.stop()
     assert peak < 16 << work
+
+
+def test_negotiation_allocates_no_announcement_register():
+    # prices of 18 bits: a dense announced state of 2 + 18 qubits would take
+    # 16 MiB; Steps 1-3 keep the 3 basis indices of its support
+    sc = PriceScenario(A=(2**18 - 1, 5, 17), B=(12, 2**17, 1), epsilon=1)
+    announced = sc.n + sc.d
+    params = CountingParams(t=8)
+    run_negotiation(sc, params, master_seed=1, max_qubits=80)  # first-call imports, caches
+    tracemalloc.start()
+    try:
+        tr = run_negotiation(sc, params, master_seed=1, max_qubits=80)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << announced
+    assert tr.t_A.m_hat == tr.t_B.m_hat == brute_force_count(sc)
 
 
 def test_received_state_is_checked(worked_example):
@@ -256,6 +291,30 @@ def test_measurement_attack_statistics(worked_example):
         assert abs(stats.frequency(i) - 1 / 6) < 0.03
 
 
+@pytest.mark.parametrize("victim", ["alice", "bob"])
+def test_measurement_attack_statistics_match_dense_sampling(worked_example, victim):
+    # the same uniforms, drawn over the dense register's probabilities
+    stats = measurement_attack_statistics(worked_example, trials=2000, seed=8, victim=victim)
+    dense = dense_state(prepare_announced_state(worked_example, victim))
+    outcomes = sample_outcomes(dense.probabilities(), np.random.default_rng(8).random(2000))
+    counts = np.bincount(outcomes & 7, minlength=7)
+    assert stats.index_counts == {i: int(counts[i]) for i in range(1, 7)}
+
+
+@pytest.mark.parametrize("index, price", [(0, 0), (7, 0), (4, 5)],
+                         ids=["index-0", "index-above-N", "wrong-price"])
+def test_measurement_attack_statistics_flags_invalid_pairs(worked_example, monkeypatch,
+                                                           index, price):
+    # one support entry of the replayed state is forged; with 2000 trials it
+    # is observed (probability 1/6 each) and the pair check must reject it
+    honest = prepare_announced_state(worked_example, "alice")
+    indices = honest.indices.copy()
+    indices[0] = index | price << worked_example.n
+    forged = honest._replace(indices=np.sort(indices))
+    monkeypatch.setattr(protocol, "prepare_announced_state", lambda *args, **kwargs: forged)
+    assert not measurement_attack_statistics(worked_example, trials=2000, seed=8).pairs_valid
+
+
 def test_parroting_cheater_is_caught_by_verification(worked_example):
     # the measuring cheater guesses at commit time, then parrots the honest
     # count at unveil time; with a mismatched commitment the verification
@@ -310,8 +369,12 @@ def test_false_unveil_by_alice_detected_by_bob():
 
 def test_announced_state_structure(worked_example):
     state = prepare_announced_state(worked_example, "bob")
-    support = np.nonzero(np.abs(state.amplitudes) > 1e-12)[0]
+    support = state.indices[np.abs(state.amplitudes) > 1e-12]
     assert len(support) == 6
     n = worked_example.n
     pairs = {(int(x) & ((1 << n) - 1), int(x) >> n) for x in support}
     assert pairs == {(i, b) for i, b in enumerate(worked_example.B, start=1)}
+    # sent as its support: n + d qubits, ascending indices, amplitude 1/sqrt(N)
+    assert state.num_qubits == n + worked_example.d
+    assert np.all(np.diff(state.indices) > 0)
+    assert np.array_equal(state.amplitudes, np.full(6, 1 / np.sqrt(6), dtype=complex))

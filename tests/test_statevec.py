@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import apply_gate, dense_gate_matrix, extend_with_zeros
+from helpers import apply_gate, dense_gate_matrix, dense_state, extend_with_zeros
 from q3pen.statevec import (
     Gate,
     RegisterLayout,
@@ -177,7 +177,7 @@ def test_measure_definite_state():
 def test_measure_index_register_of_announced_state(worked_example):
     from q3pen.protocol import prepare_announced_state
 
-    state = prepare_announced_state(worked_example, "alice")
+    state = dense_state(prepare_announced_state(worked_example, "alice"))
     layout_index = Segment("index", 0, worked_example.n)
     rng = np.random.default_rng(123)
     seen = set()
@@ -195,7 +195,7 @@ def test_measure_frequencies_within_binomial_band(worked_example):
     # 60000 seeded trials; 1/6 +- 0.01 is a ~6.6 sigma band
     from q3pen.protocol import prepare_announced_state
 
-    state = prepare_announced_state(worked_example, "alice")
+    state = dense_state(prepare_announced_state(worked_example, "alice"))
     seg = Segment("index", 0, worked_example.n)
     rng = np.random.default_rng(2024)
     counts = np.zeros(8, dtype=int)
