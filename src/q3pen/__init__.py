@@ -32,7 +32,6 @@ from .counting import (
 )
 from .protocol import (
     NegotiationTranscript,
-    Party,
     measurement_attack_statistics,
     run_negotiation,
     run_with_adversary,

@@ -14,9 +14,8 @@ costs, and commitment cheat detection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -43,19 +42,6 @@ def c05_cost(N: int, d: int) -> int:
 
 def a07_cost(N: int, d: int) -> int:
     return 4 * N * d
-
-
-@dataclass(frozen=True)
-class CostModel:
-    tag: str
-    cost: Callable[[int, int], int]
-
-
-COST_MODELS = (
-    CostModel("Q3PEN", q3pen_cost),
-    CostModel("C05", c05_cost),
-    CostModel("A07", a07_cost),
-)
 
 
 def cost_table(n_values: Iterable[int], d: int, split_units: bool = False) -> list[tuple]:

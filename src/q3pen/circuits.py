@@ -15,13 +15,13 @@ Every oracle is a permutation of basis states, and ``images`` returns where
 each of an array of basis indices lands.  A price oracle is compiled to a
 table ``T`` of ``2**n`` entries, ``T[i] = price_i`` for i = 1..N and 0
 elsewhere, so its images are one gather, ``x ^ (T[index(x)] << offset)``,
-and it is its own inverse.  The NOT gates it stands for (one per set price
-bit, controlled on the product's index) are derived from ``T`` only on
-request, as the reference the tests compare against.  The comparator is a
-``Circuit``: NOT gates with mixed-polarity controls, inverted by reversing
-the gate list, whose ``images`` run the gates in order (per gate, one
-compare against the control mask and value the gate computed when it was
-built, and one XOR into the target bit).  Applying an oracle to an
+and it is its own inverse.  It stands for one NOT per set price bit,
+controlled on the product's index; ``len`` counts those gates, and nothing
+in the package builds them (the tests hold the gate list).  The comparator
+is a ``Circuit``: NOT gates with mixed-polarity controls, inverted by
+reversing the gate list, whose ``images`` run the gates in order (per gate,
+one compare against the control mask and value the gate computed when it
+was built, and one XOR into the target bit).  Applying an oracle to an
 amplitude array moves only its support (the nonzero amplitudes) to their
 images, which is exact.
 """
@@ -211,22 +211,8 @@ class PriceOracle:
     target: str
 
     def __len__(self):
+        """The number of NOT gates the table stands for: one per set price bit."""
         return sum(price.bit_count() for price in self.table.tolist())
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        """The NOT gates the table stands for, derived on each access: for
-        each product i and each set bit of price_i, in that order, one NOT on
-        that target bit whose controls spell out i across the index
-        register.  The oracle never runs them; tests check ``images``
-        against them, and gate counts count them."""
-        index, tgt = self.layout["index"], self.layout[self.target]
-        gates = []
-        for i, price in enumerate(self.table.tolist()):
-            if price:
-                controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
-                gates += [Gate.x(tgt.offset + b, controls) for b in range(tgt.width) if price >> b & 1]
-        return tuple(gates)
 
     def inverse(self) -> "PriceOracle":
         return self

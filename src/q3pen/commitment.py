@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,10 +170,6 @@ class CommitmentRecord:
     fingerprint: StateVector
     code: CodeParams
     phase: str = PHASE_COMMITTED
-    committed_length: int = field(init=False)
-
-    def __post_init__(self):
-        self.committed_length = self.code.n
 
 
 def commit(value: int, code: CodeParams) -> CommitmentRecord:
@@ -207,8 +203,7 @@ def verify(record: CommitmentRecord, unveiled: int, rng=0) -> bool:
         raise RuntimeError(f"record already {record.phase}; cannot unveil twice")
     record.phase = PHASE_UNVEILED
     p = accept_probability(record, unveiled)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    accepted = bool(gen.random() < p)
+    accepted = bool(np.random.default_rng(rng).random() < p)  # a Generator is used as it is
     record.phase = PHASE_ACCEPT if accepted else PHASE_REJECT
     return accepted
 

@@ -22,12 +22,12 @@ trusted from any single statement of the algorithm.  Outcomes ``omega`` and
 ``A . S_0 . A^-1`` is the reflection ``I - 2|psi><psi|`` and ``S_f`` is
 diagonal, so ``Q`` never leaves the span of the basis states ``psi`` is
 spread over: one per product, N in all.  Phase estimation runs in that span,
-on a ``HeldState`` (those basis indices and their amplitudes).  With ``f``
-the flag bit of each held index, ``Q`` there is the N x N matrix
-``(I - 2|psi><psi|) . diag((-1)**f)``.  The protocol passes the state a
-party holds after Steps 2-3; without one, the honest state is built from the
-comparison oracles: the images of index values 1..N, each with amplitude
-1/sqrt(N).  Either way the flag bits are read from the flag oracle's
+on a ``statevec.SupportState`` (those basis indices on the comparison
+layout, and their amplitudes).  With ``f`` the flag bit of each held index,
+``Q`` there is the N x N matrix ``(I - 2|psi><psi|) . diag((-1)**f)``.
+The protocol passes the state a party holds after Steps 2-3; without one,
+the honest state is built from the comparison oracles: the images of index
+values 1..N, each with amplitude 1/sqrt(N).  Either way the flag bits are read from the flag oracle's
 gate-level images, not from the classical comparison.  The joint state over
 the counting register is expanded into rows ``Q^k |psi>``, filled by doubling
 (``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import circuits
 from .circuits import PriceScenario
-from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, sample_outcomes
+from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, SupportState, sample_outcomes
 
 
 @dataclass(frozen=True)
@@ -79,14 +78,6 @@ class CountEstimate:
     theta_hat: float
     delta: float
     outcomes: tuple[int, ...]
-
-
-class HeldState(NamedTuple):
-    """A comparison-ready state as its support: basis indices on the
-    comparison layout of one announcement, and their amplitudes."""
-
-    indices: np.ndarray
-    amplitudes: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +172,16 @@ def build_state_preparation(scenario: PriceScenario, announced_by: str = "alice"
     return StatePreparation(oracles[0].layout, uniform_index_unitary(scenario.n, scenario.N), oracles)
 
 
-def honest_held_state(scenario: PriceScenario, announced_by: str = "alice") -> HeldState:
-    """``A|0...0>`` as a held state: index values 1..N pushed through the
-    comparison oracles, each with amplitude 1/sqrt(N)."""
+def honest_held_state(scenario: PriceScenario, announced_by: str = "alice") -> SupportState:
+    """``A|0...0>`` on the comparison layout, as its support: index values
+    1..N pushed through the comparison oracles, each with amplitude
+    1/sqrt(N)."""
+    oracles = comparison_oracles(scenario, announced_by)
     images = np.arange(1, scenario.N + 1)
-    for c in comparison_oracles(scenario, announced_by):
+    for c in oracles:
         images = c.images(images)
-    return HeldState(images, np.full(scenario.N, 1.0 / math.sqrt(scenario.N)))
+    return SupportState(oracles[0].layout.num_qubits, images,
+                        np.full(scenario.N, 1.0 / math.sqrt(scenario.N)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def error_bound(t: int, N: int, m_hat: int) -> float:
 def phase_register_distribution(scenario: PriceScenario, t: int,
                                 announced_by: str = "alice",
                                 max_qubits: int = DEFAULT_MAX_QUBITS,
-                                held: HeldState | None = None) -> np.ndarray:
+                                held: SupportState | None = None) -> np.ndarray:
     """Outcome probabilities of the t-qubit phase register.
 
     Works in the span of the support of ``held`` (the honest state of
@@ -266,7 +260,7 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
 def quantum_count(scenario: PriceScenario, params: CountingParams = CountingParams(),
                   announced_by: str = "alice",
                   max_qubits: int = DEFAULT_MAX_QUBITS,
-                  held: HeldState | None = None) -> CountEstimate:
+                  held: SupportState | None = None) -> CountEstimate:
     """Estimate the number of products whose comparison flag is set, from
     the state ``held`` (by default the honest one; see
     ``phase_register_distribution``).

@@ -4,15 +4,15 @@ The run alternates between the buyer ("alice") and the seller ("bob"):
 
 1. each party injects the uniform index superposition, loads its own prices,
    and sends the resulting (n+d)-qubit state to the other; the state travels
-   as its support, an ``AnnouncedState``: the N basis indices
+   as its support, a ``statevec.SupportState``: the N basis indices
    ``i | price_i << n`` (the images of index values 1..N under the party's
-   price oracle) and their amplitudes ``1/sqrt(N)``;
+   price oracle) in ascending order, and their amplitudes ``1/sqrt(N)``;
 2. the receiver pushes those indices through its own price oracle
    (extending the register by zeros on top leaves them unchanged);
 3. the receiver writes the comparison flag by pushing the same indices
-   through the flag oracle; what it holds is a ``HeldState``, indices on the
-   comparison layout with their amplitudes.  Steps 1-3 are table lookups
-   and index permutations of N basis states: no negotiation allocates a
+   through the flag oracle; what it holds is again a ``SupportState``, now
+   on the comparison layout.  Steps 1-3 are table lookups and index
+   permutations of N basis states: no negotiation allocates a
    ``2**(n+d)`` or ``2**work`` array or builds a gate to load prices;
 4. each party counts the state it holds, in the span of that support;
 5. the counts are exchanged under bit-string commitment (fingerprint state,
@@ -21,7 +21,7 @@ The run alternates between the buyer ("alice") and the seller ("bob"):
 6. trade happens iff both counts reach the threshold.
 
 Sending a quantum state is modeled as transferring ownership of its
-support (the Step-1 ``AnnouncedState``) or of a ``StateVector`` (the Step-5
+support (the Step-1 ``SupportState``) or of a ``StateVector`` (the Step-5
 fingerprint) through an in-process channel at a cost equal to its qubit
 count; classical messages cost their bit length.  The headline cost of an
 honest run is 2(n+d) qubits plus 2n cbits, with the Step-5 fingerprint
@@ -31,10 +31,11 @@ Adversarial behaviors are scripted, not emergent: "measure-and-cheat"
 measures every qubit of the received state in Step 2 (``measure_announced``,
 learning exactly one (i, price_i) pair and destroying its own ability to
 count), then unveils a copy of the honest party's count to survive the
-consistency check, which the commitment verification catches; "false-unveil" counts honestly but
-unveils a different value.  Counting assumes the held state is
-``A|0...0>``, so a collapsed state is never counted: the measuring cheater
-reports a scripted guess instead.
+consistency check, which the commitment verification catches;
+"false-unveil" counts honestly but unveils a different value.  Counting
+assumes the held state is ``A|0...0>``, so a collapsed state is never
+counted, nor taken through Steps 2-3: the measuring cheater reports a
+scripted guess instead.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ import numpy as np
 from . import circuits, commitment, counting
 from .circuits import PriceScenario
 from .commitment import CodeParams
-from .counting import CountEstimate, CountingParams, HeldState
+from .counting import CountEstimate, CountingParams
 from .statevec import (
     ATOL_INPUT,
     DEFAULT_MAX_QUBITS,
     CapacityError,
     StateVector,
+    SupportState,
     sample_outcomes,
 )
 
@@ -66,22 +68,11 @@ BEHAVIOR_MEASURE = "measure-and-cheat"
 BEHAVIOR_FALSE_UNVEIL = "false-unveil"
 BEHAVIORS = (BEHAVIOR_HONEST, BEHAVIOR_MEASURE, BEHAVIOR_FALSE_UNVEIL)
 
+# each role, "alice" (buyer) or "bob" (seller), and the other party
+OTHER = {"alice": "bob", "bob": "alice"}
+
 QUANTUM = "quantum-state"
 CLASSICAL = "classical-bits"
-
-
-@dataclass
-class Party:
-    """One negotiation participant: its role and its scripted behaviour."""
-
-    role: str  # "alice" (buyer) or "bob" (seller)
-    behavior: str = BEHAVIOR_HONEST
-
-    def __post_init__(self):
-        if self.role not in ("alice", "bob"):
-            raise ValueError(f"unknown role {self.role!r}")
-        if self.behavior not in BEHAVIORS:
-            raise ValueError(f"unknown behavior {self.behavior!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,7 @@ class ChannelMessage:
     qubit_cost: int
     cbit_cost: int
     value: int | None = None
-    payload: AnnouncedState | StateVector | None = field(default=None, repr=False, compare=False)
+    payload: SupportState | StateVector | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -209,34 +200,27 @@ def transcript_costs(transcript: NegotiationTranscript) -> CostSummary:
 # state construction helpers
 
 
-class AnnouncedState(NamedTuple):
-    """An announced (n+d)-qubit state as its support: basis indices in
-    ascending order and their amplitudes; every other amplitude is zero."""
-
-    num_qubits: int
-    indices: np.ndarray
-    amplitudes: np.ndarray
-
-
-def prepare_announced_state(scenario: PriceScenario, owner: str) -> AnnouncedState:
+def prepare_announced_state(scenario: PriceScenario, owner: str) -> SupportState:
     """The state a party sends in Step 1: the uniform superposition over
     index values 1..N with its own prices XOR-loaded alongside, i.e. the
-    indices ``i | price_i << n`` with amplitude ``1/sqrt(N)`` each."""
+    indices ``i | price_i << n``, in ascending order, with amplitude
+    ``1/sqrt(N)`` each."""
     layout = circuits.announcement_layout(scenario, owner)
     prices, target = (scenario.A, "priceA") if owner == "alice" else (scenario.B, "priceB")
     oracle = circuits.build_price_oracle(prices, layout, target)
     indices = np.sort(oracle.images(np.arange(1, scenario.N + 1)))
     amplitudes = np.full(scenario.N, 1.0 / math.sqrt(scenario.N), dtype=np.complex128)
-    return AnnouncedState(layout.num_qubits, indices, amplitudes)
+    return SupportState(layout.num_qubits, indices, amplitudes)
 
 
-def measure_announced(state: AnnouncedState, rng: np.random.Generator) -> tuple[int, AnnouncedState]:
+def measure_announced(state: SupportState, rng: np.random.Generator) -> tuple[int, SupportState]:
     """Measure every qubit of an announced state: ``(outcome, collapsed)``.
 
-    One ``rng.random()`` picks a support entry by inverse CDF over
-    ``|a|**2`` in ascending basis-index order.  Zero amplitudes add nothing
-    to a CDF, so the outcome and the collapsed state are those
-    ``statevec.measure`` gives on the dense register for the same draw.
+    ``state.indices`` must be ascending, as Step 1 builds them.  One
+    ``rng.random()`` picks a support entry by inverse CDF over ``|a|**2`` in
+    that order.  Zero amplitudes add nothing to a CDF, so the outcome and
+    the collapsed state are those ``statevec.measure`` gives on the dense
+    register for the same draw.
     """
     k = int(sample_outcomes(np.abs(state.amplitudes) ** 2, rng.random()))
     amplitude = state.amplitudes[k : k + 1]
@@ -246,7 +230,7 @@ def measure_announced(state: AnnouncedState, rng: np.random.Generator) -> tuple[
 
 
 def load_received_state(scenario: PriceScenario, announced_by: str,
-                        state: AnnouncedState) -> HeldState:
+                        state: SupportState) -> SupportState:
     """Step 2 on a received state: its support, with the receiver's prices
     loaded alongside, as indices on the comparison layout."""
     width = circuits.announcement_layout(scenario, announced_by).num_qubits
@@ -258,11 +242,11 @@ def load_received_state(scenario: PriceScenario, announced_by: str,
     layout = circuits.comparison_layout(scenario, announced_by)
     prices, target = (scenario.B, "priceB") if announced_by == "alice" else (scenario.A, "priceA")
     oracle = circuits.build_price_oracle(prices, layout, target)
-    return HeldState(oracle.images(state.indices), state.amplitudes)
+    return SupportState(layout.num_qubits, oracle.images(state.indices), state.amplitudes)
 
 
 def write_comparison_flag(scenario: PriceScenario, announced_by: str,
-                          held: HeldState) -> HeldState:
+                          held: SupportState) -> SupportState:
     """Step 3 on a held state: the flag oracle applied to its indices."""
     oracle = circuits.flag_oracle(scenario.n, scenario.d, announced_by)
     return held._replace(indices=oracle.images(held.indices))
@@ -278,9 +262,7 @@ def run_negotiation(scenario: PriceScenario,
                     master_seed: int = 42,
                     max_qubits: int = DEFAULT_MAX_QUBITS) -> NegotiationTranscript:
     """Honest end-to-end run; deterministic for a fixed master seed."""
-    alice = Party("alice")
-    bob = Party("bob")
-    return _run(scenario, alice, bob, params, code, master_seed, max_qubits)
+    return _run(scenario, params, code, master_seed, max_qubits)
 
 
 def run_with_adversary(scenario: PriceScenario,
@@ -297,18 +279,18 @@ def run_with_adversary(scenario: PriceScenario,
     what the cheater learned, what they committed and unveiled, and whether
     the honest party's verification or the consistency check flagged them.
     """
-    if cheater not in ("alice", "bob"):
+    if cheater not in OTHER:
         raise ValueError(f"unknown party {cheater!r}")
     if behavior not in BEHAVIORS:
         raise ValueError(f"unknown behavior {behavior!r}")
-    alice = Party("alice", behavior if cheater == "alice" else BEHAVIOR_HONEST)
-    bob = Party("bob", behavior if cheater == "bob" else BEHAVIOR_HONEST)
-    return _run(scenario, alice, bob, params, code, master_seed, max_qubits,
-                scripted_role=cheater, false_unveil_value=false_unveil_value)
+    return _run(scenario, params, code, master_seed, max_qubits, cheater, behavior,
+                false_unveil_value)
 
 
-def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
-         scripted_role=None, false_unveil_value=None) -> NegotiationTranscript:
+def _run(scenario, params, code, master_seed, max_qubits, cheater=None,
+         behavior=BEHAVIOR_HONEST, false_unveil_value=None) -> NegotiationTranscript:
+    """One negotiation; ``cheater`` is the scripted role, if any, and
+    ``behavior`` its script."""
     # capacity: the counting layout is the largest register anyone touches
     total = circuits.comparison_layout(scenario, "alice", t=params.t).num_qubits
     if total > max_qubits:
@@ -323,14 +305,6 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
         )
     }
     adversary_rng = np.random.default_rng(seeds["adversary"])
-    # a scripted party gets a verdict even when its script is "honest"
-    cheater = None
-    if scripted_role is not None:
-        cheater = alice if scripted_role == "alice" else bob
-    elif alice.behavior != BEHAVIOR_HONEST:
-        cheater = alice
-    elif bob.behavior != BEHAVIOR_HONEST:
-        cheater = bob
     if code is None:
         code = commitment.make_random_code(scenario.n, c=2.0, seed=seeds["code"])
 
@@ -343,8 +317,9 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
             "t": params.t, "shots": params.shots, "seed": master_seed,
             "code_n": code.n, "code_m": code.m,
         },
+        # a scripted party gets a verdict even when its script is "honest"
         adversary=None if cheater is None else {
-            "party": cheater.role, "behavior": cheater.behavior,
+            "party": cheater, "behavior": behavior,
             "learned": None, "committed": None, "unveiled": None,
             "detected": False, "detected_by": {"verification": False, "consistency": False},
         },
@@ -355,7 +330,7 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     # Step 1: both parties announce their price-loaded states.
     t0 = clock()
     announced = {}
-    for owner, other in (("alice", "bob"), ("bob", "alice")):
+    for owner, other in OTHER.items():
         state = prepare_announced_state(scenario, owner)
         announced[owner] = state
         msgs.append(ChannelMessage(1, owner, other, QUANTUM, "price-state",
@@ -363,12 +338,11 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     transcript.timings[1] = clock() - t0
 
     # Step 2: a measuring adversary strikes on receipt, before doing any
-    # work; then each receiver takes the support and loads its own prices.
+    # work; the collapsed state is never counted, so Steps 2-3 skip it.
+    # Every other receiver takes the support and loads its own prices.
     t0 = clock()
-    if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE:
-        victim = "alice" if cheater.role == "bob" else "bob"
-        # the superposition is gone for good
-        outcome, announced[victim] = measure_announced(announced[victim], adversary_rng)
+    if behavior == BEHAVIOR_MEASURE:
+        outcome, _ = measure_announced(announced.pop(OTHER[cheater]), adversary_rng)
         transcript.adversary["learned"] = {"index": outcome & ((1 << scenario.n) - 1),
                                            "price": outcome >> scenario.n}
 
@@ -388,7 +362,7 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     t0 = clock()
     estimates = {}
     for role, announced_by in (("bob", "alice"), ("alice", "bob")):
-        if cheater is not None and cheater.behavior == BEHAVIOR_MEASURE and role == cheater.role:
+        if behavior == BEHAVIOR_MEASURE and role == cheater:
             # the measurement destroyed the superposition and a collapsed
             # state is not counted, so the cheater improvises an uninformed
             # guess dressed up as a report
@@ -408,7 +382,7 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     t0 = clock()
     committed = {role: est.m_hat for role, est in estimates.items()}
     records = {}
-    for owner, other in (("alice", "bob"), ("bob", "alice")):
+    for owner, other in OTHER.items():
         records[owner] = commitment.commit(committed[owner], code)
         msgs.append(ChannelMessage(5, owner, other, QUANTUM, "fingerprint",
                                    qubit_cost=code.num_fingerprint_qubits, cbit_cost=0,
@@ -416,24 +390,17 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
 
     # unveil order: the honest party goes first so a measuring cheater can
     # try to parrot the honest count (that is the lie verification catches)
-    unveil_order = ["alice", "bob"]
-    if cheater is not None and cheater.role == "alice":
-        unveil_order = ["bob", "alice"]
+    unveil_order = ("alice", "bob") if cheater is None else (OTHER[cheater], cheater)
     unveiled = {}
     for owner in unveil_order:
         value = committed[owner]
-        if cheater is not None and owner == cheater.role:
-            if cheater.behavior == BEHAVIOR_MEASURE:
-                victim = "alice" if owner == "bob" else "bob"
-                value = unveiled[victim]  # parrot the count revealed first
-            elif cheater.behavior == BEHAVIOR_FALSE_UNVEIL:
-                if false_unveil_value is not None:
-                    value = false_unveil_value
-                else:
-                    value = (committed[owner] + 1) % (1 << scenario.n)
+        if owner == cheater and behavior == BEHAVIOR_MEASURE:
+            value = unveiled[OTHER[owner]]  # parrot the count revealed first
+        elif owner == cheater and behavior == BEHAVIOR_FALSE_UNVEIL:
+            value = ((committed[owner] + 1) % (1 << scenario.n) if false_unveil_value is None
+                     else false_unveil_value)
         unveiled[owner] = value
-        other = "bob" if owner == "alice" else "alice"
-        msgs.append(ChannelMessage(5, owner, other, CLASSICAL, "unveil",
+        msgs.append(ChannelMessage(5, owner, OTHER[owner], CLASSICAL, "unveil",
                                    qubit_cost=0, cbit_cost=scenario.n, value=value))
     transcript.unveiled = unveiled
 
@@ -453,10 +420,9 @@ def _run(scenario, alice, bob, params, code, master_seed, max_qubits,
     transcript.timings[5] = clock() - t0
 
     if cheater is not None:
-        transcript.adversary["committed"] = committed[cheater.role]
-        transcript.adversary["unveiled"] = unveiled[cheater.role]
-        honest_accepts = (verifications["alice_accepts_bob"] if cheater.role == "bob"
-                          else verifications["bob_accepts_alice"])
+        transcript.adversary["committed"] = committed[cheater]
+        transcript.adversary["unveiled"] = unveiled[cheater]
+        honest_accepts = verifications[f"{OTHER[cheater]}_accepts_{cheater}"]
         transcript.adversary["detected_by"] = {
             "verification": not honest_accepts,
             "consistency": not consistent,

@@ -1,5 +1,6 @@
-"""Dense state-vector simulation: states, multi-controlled NOT gates,
-measurement, inner products, and density-matrix entropy.
+"""State-vector simulation: dense states and states given as their
+support, multi-controlled NOT gates, measurement, inner products, and
+density-matrix entropy.
 
 Conventions used throughout the package:
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +50,6 @@ class Segment:
     def __post_init__(self):
         if self.offset < 0 or self.width < 1:
             raise ValueError(f"bad segment {self.name}: offset={self.offset} width={self.width}")
-
-    def qubits(self) -> range:
-        return range(self.offset, self.offset + self.width)
 
     def value(self, basis_index: int) -> int:
         """Integer held by this segment within a basis-state index."""
@@ -81,10 +80,6 @@ class RegisterLayout:
 
     def __contains__(self, name: str) -> bool:
         return name in self._segments
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._segments)
 
     def __repr__(self):
         parts = ", ".join(f"{s.name}[{s.offset}:{s.offset + s.width}]" for s in self._segments.values())
@@ -132,6 +127,16 @@ class StateVector:
         if len(kept) > 8:
             kept = kept[:8] + ["..."]
         return " + ".join(kept) or "0"
+
+
+class SupportState(NamedTuple):
+    """A ``num_qubits``-qubit state as its support: basis indices and their
+    amplitudes; every other amplitude is zero.  The indices are in no fixed
+    order unless the producer says so."""
+
+    num_qubits: int
+    indices: np.ndarray
+    amplitudes: np.ndarray
 
 
 def prepare_basis(num_qubits: int, basis_index: int) -> StateVector:
@@ -224,12 +229,6 @@ class Gate(tuple):
 # measurement
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _segment_bounds(segment) -> tuple[int, int]:
     if isinstance(segment, Segment):
         return segment.offset, segment.width
@@ -259,7 +258,7 @@ def measure(state: StateVector, segment, rng=0) -> tuple[int, StateVector]:
         raise ValueError("cannot measure an empty segment")
     if offset + width > state.num_qubits:
         raise ValueError("segment lies outside the state's qubits")
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)  # a Generator is returned as it is
 
     idx = np.arange(state.dim)
     values = (idx >> offset) & ((1 << width) - 1)

@@ -9,14 +9,16 @@ one NOT gate on a full amplitude array and ``gate_images`` runs a gate list
 on basis indices, both reading the firing condition from ``gate.controls``
 (never from the ``mask``/``value`` the gate computed when it was built,
 which ``Circuit.images`` uses), and ``GroverIterate`` runs the counting
-iterate on the full ``2**work``-amplitude register.  ``dense_state`` expands
-a state sent as its support into the full register.  The package's fast
-paths are tested against them.
+iterate on the full ``2**work``-amplitude register.  ``reference_price_gates``
+builds, from a price list, the NOT list a price oracle stands for (the
+package compiles the list to a table and never builds these gates).
+``dense_state`` expands a state given as its support into the full
+register.  The package's fast paths are tested against them.
 """
 
 import numpy as np
 
-from q3pen.statevec import StateVector
+from q3pen.statevec import Gate, StateVector
 
 
 def dense_gate_matrix(gate, num_qubits: int) -> np.ndarray:
@@ -76,6 +78,18 @@ def apply_gate_inplace(amplitudes: np.ndarray, gate) -> None:
     i0 = np.nonzero(_control_mask(gate, amplitudes.size))[0]
     i1 = i0 | (1 << gate.target)
     amplitudes[i0], amplitudes[i1] = amplitudes[i1], amplitudes[i0]
+
+
+def reference_price_gates(prices, layout, target):
+    """The NOT list a price oracle stands for, built as gates: for each
+    product i and each set bit of price_i, in that order, one NOT on that
+    target bit whose controls spell out i across the index register."""
+    index, tgt = layout["index"], layout[target]
+    gates = []
+    for i, price in enumerate(prices, start=1):
+        controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
+        gates += [Gate.x(tgt.offset + b, controls) for b in range(tgt.width) if (price >> b) & 1]
+    return tuple(gates)
 
 
 def gate_images(gates, indices) -> np.ndarray:

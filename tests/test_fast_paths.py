@@ -4,7 +4,8 @@
   gates one by one with ``apply_gate_inplace``, and the inverse circuit's
   images undo its images;
 * a price oracle's table images equal the images of the NOT gates it stands
-  for, run one by one, on every basis index of both layouts it is built on;
+  for (``reference_price_gates``, built from the price list), run one by
+  one, on every basis index of both layouts it is built on;
 * measuring an announced state on its support gives the outcome and the
   collapsed state that ``statevec.measure`` gives on the dense register;
 * a state preparation's inverse undoes its forward map;
@@ -20,7 +21,13 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import apply_gate_inplace, dense_state, extend_with_zeros, gate_images
+from helpers import (
+    apply_gate_inplace,
+    dense_state,
+    extend_with_zeros,
+    gate_images,
+    reference_price_gates,
+)
 from q3pen.circuits import (
     Circuit,
     PriceScenario,
@@ -35,13 +42,12 @@ from q3pen.counting import (
     uniform_index_unitary,
 )
 from q3pen.protocol import (
-    AnnouncedState,
     load_received_state,
     measure_announced,
     prepare_announced_state,
     write_comparison_flag,
 )
-from q3pen.statevec import Gate, RegisterLayout, Segment, measure
+from q3pen.statevec import Gate, RegisterLayout, Segment, SupportState, measure
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -89,17 +95,6 @@ def test_compiled_permutation_matches_gate_by_gate(circuit, seed, density):
     assert np.array_equal(circuit.inverse().images(circuit.images(x)), x)
 
 
-def reference_price_gates(prices, layout, target):
-    """The NOT list a price oracle stands for, built as gates: one per set
-    bit of price_i, controlled on the binary pattern of i."""
-    index, tgt = layout["index"], layout[target]
-    gates = []
-    for i, price in enumerate(prices, start=1):
-        controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
-        gates += [Gate.x(tgt.offset + b, controls) for b in range(tgt.width) if (price >> b) & 1]
-    return tuple(gates)
-
-
 @SETTINGS
 @given(scenarios(), st.sampled_from(["alice", "bob"]), st.integers(0, 2**32 - 1))
 def test_price_oracle_table_matches_its_gates(scenario, announced_by, seed):
@@ -109,15 +104,15 @@ def test_price_oracle_table_matches_its_gates(scenario, announced_by, seed):
     for layout, owner in cases:
         prices, target = (scenario.A, "priceA") if owner == "alice" else (scenario.B, "priceB")
         oracle = build_price_oracle(prices, layout, target)
-        assert oracle.gates == reference_price_gates(prices, layout, target)
-        assert len(oracle) == len(oracle.gates)
+        gates = reference_price_gates(prices, layout, target)
+        assert len(oracle) == len(gates)
         # every basis index: index 0 and values above N, any target bits set
         x = np.arange(1 << layout.num_qubits)
-        assert np.max(np.abs(oracle.images(x) - gate_images(oracle.gates, x))) == 0
+        assert np.max(np.abs(oracle.images(x) - gate_images(gates, x))) == 0
         assert np.array_equal(oracle.inverse().images(oracle.images(x)), x)
         amps = random_amplitudes(seed, x.size)
         reference = amps.copy()
-        for gate in oracle.gates:
+        for gate in gates:
             apply_gate_inplace(reference, gate)
         oracle.apply_to_array(amps)
         assert np.max(np.abs(amps - reference)) == 0.0
@@ -134,7 +129,7 @@ def supports(draw):
     amps[rng.random(len(indices)) < draw(st.floats(0.0, 0.5))] = 0.0
     if not amps.any():
         amps[-1] = 1.0
-    return AnnouncedState(q, np.array(indices), amps / np.linalg.norm(amps))
+    return SupportState(q, np.array(indices), amps / np.linalg.norm(amps))
 
 
 @SETTINGS
@@ -157,6 +152,13 @@ def test_state_preparation_inverse_undoes_forward(scenario, announced_by, seed):
     x = random_amplitudes(seed, 1 << prep.num_qubits)
     back = prep.inverse_to_array(prep.apply_to_array(x.copy()))
     assert np.max(np.abs(back - x)) < 1e-9
+
+
+def price_gates(scenario, oracle):
+    """The reference NOT list of a price oracle on ``scenario``, built from
+    the price list it loads, not from its table."""
+    prices = scenario.A if oracle.target == "priceA" else scenario.B
+    return reference_price_gates(prices, oracle.layout, oracle.target)
 
 
 def received_state(scenario, announced_by, collapse_seed):
@@ -185,10 +187,11 @@ def test_sparse_steps_23_match_dense_gate_by_gate(scenario, announced_by, collap
     layout = comparison_layout(scenario, announced_by)
     dense = extend_with_zeros(dense_state(state), layout.num_qubits - state.num_qubits).amplitudes
     _, receiver_oracle, flag_oracle = comparison_oracles(scenario, announced_by)
-    for gate in receiver_oracle.gates + flag_oracle.gates:
+    for gate in price_gates(scenario, receiver_oracle) + flag_oracle.gates:
         apply_gate_inplace(dense, gate)
 
     support = np.flatnonzero(dense)
+    assert held.num_qubits == layout.num_qubits
     order = np.argsort(held.indices)
     assert np.array_equal(held.indices[order], support)
     assert np.max(np.abs(held.amplitudes[order] - dense[support])) == 0.0
@@ -210,9 +213,9 @@ def test_protocol_held_distribution_matches_honest(scenario, t, announced_by):
 
 def dense_reference_distribution(scenario, t, announced_by):
     """Rows Q^k A|0> built gate by gate, then an FFT over every column."""
-    oracles = comparison_oracles(scenario, announced_by)
-    layout = oracles[0].layout
-    gates = [g for c in oracles for g in c.gates]
+    *price_oracles, flag_oracle = comparison_oracles(scenario, announced_by)
+    layout = flag_oracle.layout
+    gates = [g for c in price_oracles for g in price_gates(scenario, c)] + list(flag_oracle.gates)
     w = uniform_index_unitary(scenario.n, scenario.N)
     block = 1 << scenario.n
     flag = layout["flag"].offset

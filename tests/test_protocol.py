@@ -12,9 +12,7 @@ from q3pen.commitment import empirical_accept_rate, fingerprint_state, parity_re
 from q3pen import circuits, counting, protocol
 from q3pen.counting import CountingParams
 from q3pen.protocol import (
-    ChannelMessage,
     NegotiationTranscript,
-    Party,
     load_received_state,
     measurement_attack_statistics,
     prepare_announced_state,
@@ -139,10 +137,21 @@ def test_collapsed_state_is_not_counted(worked_example, monkeypatch, cheater):
         return _count(*args, **kwargs)
 
     monkeypatch.setattr(counting, "quantum_count", counted)
+    calls = Counter()
+    for module, name in ((protocol, "load_received_state"), (protocol, "write_comparison_flag"),
+                         (circuits, "build_price_oracle")):
+        def called(*args, _name=name, _call=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, called)
     tr = run_with_adversary(worked_example, cheater, "measure-and-cheat", PARAMS, master_seed=4)
     # only the honest party counts: the state the cheater announced
     assert announcers == [cheater]
     assert tr.estimates[cheater].outcomes == ()
+    # nor does the collapsed state go through Steps 2-3: Step 1 builds both
+    # announcers' price oracles, Step 2 only the honest receiver's
+    assert calls == {"load_received_state": 1, "write_comparison_flag": 1,
+                     "build_price_oracle": 3}
 
 
 def test_negotiation_allocates_no_working_register():
@@ -252,12 +261,11 @@ def test_capacity_guard(worked_example):
 
 
 def test_party_validation():
-    with pytest.raises(ValueError):
-        Party("carol")
-    with pytest.raises(ValueError):
-        Party("alice", behavior="improvise")
-    with pytest.raises(ValueError):
-        run_with_adversary(PriceScenario(A=(1,), B=(1,), epsilon=1), "bob", "improvise")
+    sc = PriceScenario(A=(1,), B=(1,), epsilon=1)
+    with pytest.raises(ValueError, match="unknown party 'carol'"):
+        run_with_adversary(sc, "carol", "honest")
+    with pytest.raises(ValueError, match="unknown behavior 'improvise'"):
+        run_with_adversary(sc, "bob", "improvise")
 
 
 # ---------------------------------------------------------------------------
