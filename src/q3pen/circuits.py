@@ -107,31 +107,27 @@ def _announcement_layout(n: int, d: int, owner: str) -> RegisterLayout:
     return RegisterLayout(("index", n), (price, d))
 
 
-def comparison_layout(scenario: PriceScenario, announced_by: str, t: int = 0) -> RegisterLayout:
+def comparison_layout(scenario: PriceScenario, announced_by: str) -> RegisterLayout:
     """Full working layout for the state announced by one party.
 
     The announcer's price register sits directly above the index register,
     the receiving party's register above that; segment names keep the
     buyer/seller roles unambiguous whichever order they are laid out in.
-    ``t > 0`` appends a counting register on top.  Built once per
-    (n, d, announcer, t) and shared; do not modify it.
+    Built once per (n, d, announcer) and shared; do not modify it.
     """
-    return _comparison_layout(scenario.n, scenario.d, announced_by, t)
+    return _comparison_layout(scenario.n, scenario.d, announced_by)
 
 
 @functools.cache
-def _comparison_layout(n: int, d: int, announced_by: str, t: int) -> RegisterLayout:
+def _comparison_layout(n: int, d: int, announced_by: str) -> RegisterLayout:
     first, second = ("priceA", "priceB") if announced_by == "alice" else ("priceB", "priceA")
-    segs = [
+    return RegisterLayout(
         ("index", n),
         (first, d),
         (second, d),
         ("flag", 1),
         ("ancilla", d),  # the comparator's scratch: one qubit per price bit
-    ]
-    if t > 0:
-        segs.append(("counting", t))
-    return RegisterLayout(*segs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,4 +304,4 @@ def flag_oracle(n: int, d: int, announced_by: str) -> Circuit:
     """The flag oracle on the comparison layout of an n-bit index, d-bit
     prices and the given announcer.  It depends on nothing else, so it is
     built once per (n, d, announcer) and shared."""
-    return build_flag_oracle(_comparison_layout(n, d, announced_by, 0))
+    return build_flag_oracle(_comparison_layout(n, d, announced_by))

@@ -3,13 +3,15 @@
 Commands::
 
     q3pen run SCENARIO.json [--seed S] [--t T] [--shots K]
-                            [--max-qubits Q] [--adversary PARTY:BEHAVIOR]
+                            [--adversary PARTY:BEHAVIOR]
     q3pen costs --d D --n-max M [--split-units]
     q3pen detect --c C --n-max M
 
 Standard output carries only the machine-readable payload (JSON for runs,
 CSV for tables); diagnostics go to standard error.  Exit codes: 0 success,
-2 usage or validation error, 3 simulator capacity exceeded.
+2 usage or validation error, 3 simulator capacity exceeded (t above
+``counting.MAX_T``, or a layout wider than the 63 qubits a basis index
+holds).
 
 A scenario file is a JSON object with fields N (optional, checked), A, B,
 epsilon, and optional blocks ``counting {"t", "shots"}``, ``commitment
@@ -26,7 +28,7 @@ import sys
 from . import analysis, commitment, protocol
 from .circuits import PriceScenario, as_int
 from .counting import CountingParams
-from .statevec import CapacityError, DEFAULT_MAX_QUBITS
+from .statevec import CapacityError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,11 +105,10 @@ def cmd_run(args) -> int:
         party, behavior = _parse_adversary(args.adversary)
         transcript = protocol.run_with_adversary(
             scenario, party, behavior, params=params, code=code,
-            master_seed=options["seed"], max_qubits=args.max_qubits)
+            master_seed=options["seed"])
     else:
         transcript = protocol.run_negotiation(
-            scenario, params=params, code=code,
-            master_seed=options["seed"], max_qubits=args.max_qubits)
+            scenario, params=params, code=code, master_seed=options["seed"])
     print(transcript.to_json())
     return EXIT_OK
 
@@ -136,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--t", type=int, default=None, help="phase-estimation precision qubits")
     p_run.add_argument("--shots", type=int, default=None)
-    p_run.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     p_run.add_argument("--adversary", default=None, metavar="PARTY:BEHAVIOR")
     p_run.set_defaults(func=cmd_run)
 

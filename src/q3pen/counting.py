@@ -19,22 +19,26 @@ This convention is pinned by tests against brute-force counts rather than
 trusted from any single statement of the algorithm.  Outcomes ``omega`` and
 ``2**t - omega`` fold to the same estimate.
 
-``A . S_0 . A^-1`` is the reflection ``I - 2|psi><psi|`` and ``S_f`` is
-diagonal, so ``Q`` never leaves the span of the basis states ``psi`` is
-spread over: one per product, N in all.  Phase estimation runs in that span,
-on a ``statevec.SupportState`` (those basis indices on the comparison
-layout, and their amplitudes).  With ``f`` the flag bit of each held index,
-``Q`` there is the N x N matrix ``(I - 2|psi><psi|) . diag((-1)**f)``.
-The protocol passes the state a party holds after Steps 2-3; without one,
-the honest state is built from the comparison oracles: the images of index
-values 1..N, each with amplitude 1/sqrt(N).  Either way the flag bits are read from the flag oracle's
-gate-level images, not from the classical comparison.  The joint state over
-the counting register is expanded into rows ``Q^k |psi>``, filled by doubling
+``A . S_0 . A^-1`` is the reflection ``I - 2|psi><psi|`` and ``S_f``
+negates the flagged part of a state, so ``Q`` never leaves the plane
+spanned by the flagged and unflagged parts of ``psi`` (Brassard, Hoyer,
+Mosca and Tapp, "Quantum amplitude amplification and estimation", 2000,
+section 2).  With those two parts normalised as its basis, ``psi`` is the
+real vector ``[||flagged||, ||unflagged||]`` and ``Q`` is the 2 x 2 matrix
+``(I - 2 psi psi^T) . diag(-1, 1)``.  The held state is a
+``statevec.SupportState`` (basis indices on the comparison layout, and
+their amplitudes); the protocol passes the state a party holds after
+Steps 2-3, and without one the honest state is built from the comparison
+oracles: the images of index values 1..N, each with amplitude 1/sqrt(N).
+Either way the flag bits are read from the flag oracle's gate-level images,
+not from the classical comparison.  The joint state over the counting
+register is expanded into rows ``Q^k |psi>``, filled by doubling
 (``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
-products in all), and the inverse quantum Fourier transform is applied as an
-FFT along the counting axis, which is arithmetically identical to the
-gate-level circuit.  The held state must be ``A|0...0>``: a collapsed state
-is not, and counting one would need the reflection about the honest state.
+products in all), and the inverse quantum Fourier transform is applied as
+an FFT along the counting axis, which is arithmetically identical to the
+gate-level circuit.  A count costs O(N + 2**t); ``MAX_T`` bounds t.  The
+held state must be ``A|0...0>``: a collapsed state is not, and counting one
+would need the reflection about the honest state.
 
 ``StatePreparation`` runs ``A`` on the full ``2**work``-amplitude register,
 with ``A = P . (W (x) I)``: a Householder reflection ``W`` on the index
@@ -52,7 +56,12 @@ import numpy as np
 
 from . import circuits
 from .circuits import PriceScenario
-from .statevec import CapacityError, DEFAULT_MAX_QUBITS, StateVector, SupportState, sample_outcomes
+from .statevec import ATOL_INPUT, CapacityError, StateVector, SupportState, sample_outcomes
+
+# The largest phase register counted: the distribution's rounding grows with
+# 2**t; its worst |sum - 1| over 80 random M <= N < 10**5 is 6.0e-10 at
+# t = 21, and at t = 22 it exceeds the 1e-9 the sum is checked to.
+MAX_T = 21
 
 
 @dataclass(frozen=True)
@@ -216,34 +225,34 @@ def error_bound(t: int, N: int, m_hat: int) -> float:
 
 def phase_register_distribution(scenario: PriceScenario, t: int,
                                 announced_by: str = "alice",
-                                max_qubits: int = DEFAULT_MAX_QUBITS,
                                 held: SupportState | None = None) -> np.ndarray:
     """Outcome probabilities of the t-qubit phase register.
 
-    Works in the span of the support of ``held`` (the honest state of
-    ``honest_held_state`` when omitted), which ``Q`` never leaves: the flag
-    bit of each held index gives ``f``, and ``Q`` becomes the N x N matrix
-    ``(I - 2|psi><psi|) . diag((-1)**f)``.  Row k of the joint state holds
-    ``Q^k |psi>`` in this basis; the rows are filled by doubling, t matrix
-    products in all.  The inverse Fourier transform along the counting axis
-    then gives amplitudes whose squared row norms are exactly the
+    Works in the plane of the flagged and unflagged parts of ``held`` (the
+    honest state of ``honest_held_state`` when omitted), which ``Q`` never
+    leaves; row k of the joint state holds ``Q^k psi`` in that plane.  The
+    squared row norms after the inverse Fourier transform are exactly the
     measurement distribution of the gate-level circuit on the full
-    register.  The capacity check counts the qubits of that full register.
+    register.  ``t > MAX_T`` raises ``CapacityError`` before anything is
+    allocated; a held state whose norm is not 1 raises ``ValueError``.
     """
-    layout_with_counting = circuits.comparison_layout(scenario, announced_by, t=t)
-    if layout_with_counting.num_qubits > max_qubits:
-        raise CapacityError(
-            f"{layout_with_counting.num_qubits} qubits exceed the budget of {max_qubits}"
-        )
+    if t > MAX_T:
+        raise CapacityError(f"t = {t} needs a {1 << t} x 2 complex rows array ({32 << t} bytes); "
+                            f"the limit is t = {MAX_T}")
     if held is None:
         held = honest_held_state(scenario, announced_by)
-    psi = held.amplitudes
-    flag = layout_with_counting["flag"].offset
-    flag_sign = np.where((held.indices >> flag) & 1, -1.0, 1.0)
-    q = (np.eye(psi.size) - 2.0 * np.outer(psi, psi.conj())) * flag_sign  # (I - 2|psi><psi|) . S_f
-    # rows hold Q^k |psi> as row vectors, so they multiply by Q transposed
+    flag = circuits.comparison_layout(scenario, announced_by)["flag"].offset
+    flagged = ((held.indices >> flag) & 1) == 1
+    amps = held.amplitudes
+    psi = np.array([np.linalg.norm(amps[flagged]), np.linalg.norm(amps[~flagged])])
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > ATOL_INPUT:
+        raise ValueError(f"held state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
+    psi /= norm  # Q^(2^t) multiplies a norm error by 2^t
+    q = (np.eye(2) - 2.0 * np.outer(psi, psi)) * [-1.0, 1.0]  # (I - 2 psi psi^T) . S_f
+    # rows hold Q^k psi as row vectors, so they multiply by Q transposed
     power = q.T
-    rows = np.empty((1 << t, psi.size), dtype=q.dtype)
+    rows = np.empty((1 << t, 2))
     rows[0] = psi
     for k in range(t):
         m = 1 << k
@@ -259,7 +268,6 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
 
 def quantum_count(scenario: PriceScenario, params: CountingParams = CountingParams(),
                   announced_by: str = "alice",
-                  max_qubits: int = DEFAULT_MAX_QUBITS,
                   held: SupportState | None = None) -> CountEstimate:
     """Estimate the number of products whose comparison flag is set, from
     the state ``held`` (by default the honest one; see
@@ -270,7 +278,7 @@ def quantum_count(scenario: PriceScenario, params: CountingParams = CountingPara
     folds them to rotation estimates, and reports the median.  Deterministic
     for fixed inputs.
     """
-    probs = phase_register_distribution(scenario, params.t, announced_by, max_qubits, held)
+    probs = phase_register_distribution(scenario, params.t, announced_by, held)
     children = np.random.SeedSequence(params.rng_seed).spawn(params.shots)
     uniforms = [np.random.default_rng(child).random() for child in children]
     outcomes = tuple(int(w) for w in sample_outcomes(probs, uniforms))

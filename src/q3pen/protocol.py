@@ -14,7 +14,8 @@ The run alternates between the buyer ("alice") and the seller ("bob"):
    on the comparison layout.  Steps 1-3 are table lookups and index
    permutations of N basis states: no negotiation allocates a
    ``2**(n+d)`` or ``2**work`` array or builds a gate to load prices;
-4. each party counts the state it holds, in the span of that support;
+4. each party counts the state it holds, in the plane of its flagged and
+   unflagged parts;
 5. the counts are exchanged under bit-string commitment (fingerprint state,
    classical unveil, projective verification) and checked for consistency
    |t_A - t_B| <= delta;
@@ -52,14 +53,7 @@ from . import circuits, commitment, counting
 from .circuits import PriceScenario
 from .commitment import CodeParams
 from .counting import CountEstimate, CountingParams
-from .statevec import (
-    ATOL_INPUT,
-    DEFAULT_MAX_QUBITS,
-    CapacityError,
-    StateVector,
-    SupportState,
-    sample_outcomes,
-)
+from .statevec import ATOL_INPUT, StateVector, SupportState, sample_outcomes
 
 TRANSCRIPT_SCHEMA = "q3pen.transcript/1"
 
@@ -259,10 +253,9 @@ def write_comparison_flag(scenario: PriceScenario, announced_by: str,
 def run_negotiation(scenario: PriceScenario,
                     params: CountingParams = CountingParams(),
                     code: CodeParams | None = None,
-                    master_seed: int = 42,
-                    max_qubits: int = DEFAULT_MAX_QUBITS) -> NegotiationTranscript:
+                    master_seed: int = 42) -> NegotiationTranscript:
     """Honest end-to-end run; deterministic for a fixed master seed."""
-    return _run(scenario, params, code, master_seed, max_qubits)
+    return _run(scenario, params, code, master_seed)
 
 
 def run_with_adversary(scenario: PriceScenario,
@@ -271,7 +264,6 @@ def run_with_adversary(scenario: PriceScenario,
                        params: CountingParams = CountingParams(),
                        code: CodeParams | None = None,
                        master_seed: int = 42,
-                       max_qubits: int = DEFAULT_MAX_QUBITS,
                        false_unveil_value: int | None = None) -> NegotiationTranscript:
     """Run with exactly one scripted dishonest party.
 
@@ -283,19 +275,13 @@ def run_with_adversary(scenario: PriceScenario,
         raise ValueError(f"unknown party {cheater!r}")
     if behavior not in BEHAVIORS:
         raise ValueError(f"unknown behavior {behavior!r}")
-    return _run(scenario, params, code, master_seed, max_qubits, cheater, behavior,
-                false_unveil_value)
+    return _run(scenario, params, code, master_seed, cheater, behavior, false_unveil_value)
 
 
-def _run(scenario, params, code, master_seed, max_qubits, cheater=None,
+def _run(scenario, params, code, master_seed, cheater=None,
          behavior=BEHAVIOR_HONEST, false_unveil_value=None) -> NegotiationTranscript:
     """One negotiation; ``cheater`` is the scripted role, if any, and
     ``behavior`` its script."""
-    # capacity: the counting layout is the largest register anyone touches
-    total = circuits.comparison_layout(scenario, "alice", t=params.t).num_qubits
-    if total > max_qubits:
-        raise CapacityError(f"{total} qubits exceed the budget of {max_qubits}")
-
     seeder = np.random.default_rng(master_seed)
     seeds = {
         name: int(s)
@@ -374,7 +360,7 @@ def _run(scenario, params, code, master_seed, max_qubits, cheater=None,
         else:
             estimates[role] = counting.quantum_count(
                 scenario, replace(params, rng_seed=seeds[f"count_{role}"]),
-                announced_by=announced_by, max_qubits=max_qubits, held=held[announced_by])
+                announced_by=announced_by, held=held[announced_by])
     transcript.estimates = dict(estimates)
     transcript.timings[4] = clock() - t0
 

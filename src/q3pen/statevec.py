@@ -12,8 +12,11 @@ Conventions used throughout the package:
   permutes amplitudes exactly, so gates and circuits need no tolerance of
   their own.
 
-This is a desk-scale exact simulator (intended for <= ~20 qubits); there is
-no mixed-state evolution and no noise model.  All operations either return
+This is a desk-scale exact simulator; there is no mixed-state evolution
+and no noise model.  A ``StateVector`` holds all ``2**num_qubits``
+amplitudes, so it suits small registers; a ``SupportState`` holds only its
+nonzero ones, and its basis indices are ``np.intp``, so a layout may span
+at most ``INDEX_BITS`` (63) qubits.  All operations either return
 fresh StateVector values or work on caller-owned arrays; nothing here locks
 or shares mutable state, so distinct states can be processed concurrently.
 """
@@ -28,11 +31,11 @@ import numpy as np
 
 ATOL_INPUT = 1e-8
 
-DEFAULT_MAX_QUBITS = 20
+INDEX_BITS = np.iinfo(np.intp).bits - 1  # basis indices are non-negative np.intp
 
 
 class CapacityError(RuntimeError):
-    """A requested simulation exceeds the configured qubit budget."""
+    """A requested simulation exceeds what the simulator can represent."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +63,9 @@ class RegisterLayout:
     """Named, disjoint qubit segments packed upward from qubit 0.
 
     Built from ``(name, width)`` pairs; offsets are assigned cumulatively,
-    which makes the segments disjoint and covering by construction.
+    which makes the segments disjoint and covering by construction.  A
+    layout wider than ``INDEX_BITS`` qubits raises ``CapacityError``: its
+    basis indices would not fit an ``np.intp``.
     """
 
     def __init__(self, *segments: tuple[str, int]):
@@ -73,6 +78,8 @@ class RegisterLayout:
                 raise ValueError(f"duplicate segment name {name!r}")
             self._segments[name] = Segment(name, offset, width)
             offset += width
+        if offset > INDEX_BITS:
+            raise CapacityError(f"a {offset}-qubit layout does not fit a {INDEX_BITS}-bit basis index")
         self.num_qubits = offset
 
     def __getitem__(self, name: str) -> Segment:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -99,10 +100,47 @@ def test_run_rejects_negative_seed_flag(scenario_file, capsys):
     assert "--seed must be non-negative, got -3" in err and "Traceback" not in err
 
 
+def test_run_worked_example_at_t8(scenario_file, capsys):
+    code, out, err = run_cli(capsys, "run", scenario_file, "--t", "8")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["params"]["t"] == 8 and doc["t_A"] == doc["t_B"] == 5
+
+
 def test_run_capacity_exit_code(scenario_file, capsys):
-    code, _, err = run_cli(capsys, "run", scenario_file, "--max-qubits", "10")
-    assert code == 3
-    assert "capacity" in err
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", scenario_file, "--t", "22")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert "capacity" in err and "bytes" in err and "Traceback" not in err
+    assert peak < 1 << 20  # refused before the 128 MiB rows array is allocated
+
+
+# 20-bit prices: 3 products take 2 + 3 * 20 + 1 = 63 qubits, the widest
+# layout an np.intp basis index holds; a fourth product widens the index to 3
+WIDE_TOP = (1 << 20) - 1
+
+
+def test_run_63_qubit_layout(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"A": [WIDE_TOP, 1 << 19, 5], "B": [WIDE_TOP - 1, 3, 5],
+                                "epsilon": 1}))
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["t_A"] == doc["t_B"] == 3
+
+
+def test_run_64_qubit_layout_exit_code(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"A": [WIDE_TOP, 1 << 19, 5, 9], "B": [WIDE_TOP - 1, 3, 5, 1],
+                                "epsilon": 1}))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == ""
+    assert "64-qubit layout" in err and "Traceback" not in err
 
 
 def test_run_with_adversary_flag(scenario_file, capsys):

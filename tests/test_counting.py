@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_scenario
 from helpers import GroverIterate
@@ -209,5 +211,45 @@ def test_phase_distribution_counts_the_held_state(worked_example):
 
 
 def test_capacity_guard(worked_example):
-    with pytest.raises(CapacityError):
-        quantum_count(worked_example, CountingParams(t=10), max_qubits=20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="bytes"):
+            quantum_count(worked_example, CountingParams(t=22))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the 128 MiB rows array is allocated
+
+
+def test_held_state_norm_is_checked(worked_example):
+    held = honest_held_state(worked_example)
+    scaled = held._replace(amplitudes=1.01 * held.amplitudes)
+    with pytest.raises(ValueError, match="held state norm"):
+        phase_register_distribution(worked_example, 6, held=scaled)
+
+
+def fejer(delta, t):
+    """The Fejer kernel ``|2**-t sum_k exp(2 pi i k delta / 2**t)|**2``."""
+    size = 1 << t
+    delta = (np.asarray(delta) + size / 2) % size - size / 2  # the kernel has period 2**t
+    small = np.abs(delta) < 1e-9
+    ratio = np.sin(np.pi * delta) / np.where(small, 1.0, size * np.sin(np.pi * delta / size))
+    return np.where(small, 1.0, ratio**2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(1, 16),
+       st.sampled_from(["alice", "bob"]))
+@example(6, 3, 0, 16, "bob")
+def test_honest_distribution_is_the_fejer_closed_form(N, d, seed, t, announced_by):
+    # the honest state is an equal mix of the eigenvectors of phases
+    # pi +/- 2*theta, sin^2(theta) = M/N (Nielsen and Chuang, section 5.2)
+    rng = np.random.default_rng(seed)
+    A, B = (tuple(int(p) for p in rng.integers(0, 1 << d, size=N)) for _ in range(2))
+    sc = PriceScenario(A=A, B=B, epsilon=1)
+    theta = math.asin(math.sqrt(brute_force_count(sc) / N))
+    omega = np.arange(1 << t)
+    closed = sum(0.5 * fejer(omega - (1 << t) * (math.pi + s * 2 * theta) / (2 * math.pi), t)
+                 for s in (1, -1))
+    probs = phase_register_distribution(sc, t, announced_by)
+    assert np.max(np.abs(probs - closed)) < 1e-9

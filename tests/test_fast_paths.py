@@ -12,10 +12,11 @@
 * Steps 2-3 run on the support of the received state hold exactly the
   nonzero amplitudes of the dense register those steps used to build gate
   by gate, also after a measured announcement;
-* the phase-register distribution, computed in the span of the held
-  state's support that the iterate never leaves, equals a dense all-column
-  FFT over full-register rows built gate by gate, and is the same whether
-  the held state comes from the protocol or is built honestly.
+* the phase-register distribution, computed in the plane of the held
+  state's flagged and unflagged parts that the iterate never leaves,
+  equals a dense all-column FFT over full-register rows built gate by
+  gate, and is the same whether the held state comes from the protocol or
+  is built honestly.
 """
 
 import numpy as np
@@ -204,10 +205,9 @@ def test_sparse_steps_23_match_dense_gate_by_gate(scenario, announced_by, collap
 @SETTINGS
 @given(scenarios(), st.integers(1, 8), st.sampled_from(["alice", "bob"]))
 def test_protocol_held_distribution_matches_honest(scenario, t, announced_by):
-    # a wide qubit budget: only N amplitudes and 2**t x N rows are allocated
     held = held_state(scenario, announced_by, received_state(scenario, announced_by, None))
-    from_held = phase_register_distribution(scenario, t, announced_by, max_qubits=32, held=held)
-    honest = phase_register_distribution(scenario, t, announced_by, max_qubits=32)
+    from_held = phase_register_distribution(scenario, t, announced_by, held=held)
+    honest = phase_register_distribution(scenario, t, announced_by)
     assert np.max(np.abs(from_held - honest)) < 1e-12
 
 

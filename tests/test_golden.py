@@ -18,9 +18,9 @@ WORKED_EXAMPLE = {"N": 6, "A": [3, 2, 5, 4, 7, 6], "B": [2, 2, 5, 5, 6, 6], "eps
 CASES = [
     ("worked_honest_seed42_t6.json", ("--seed", "42", "--t", "6")),
     ("worked_bob_measure_and_cheat_t8.json",
-     ("--adversary", "bob:measure-and-cheat", "--t", "8", "--max-qubits", "22")),
+     ("--adversary", "bob:measure-and-cheat", "--t", "8")),
     ("worked_alice_false_unveil_t8.json",
-     ("--adversary", "alice:false-unveil", "--t", "8", "--max-qubits", "22")),
+     ("--adversary", "alice:false-unveil", "--t", "8")),
 ]
 
 

@@ -174,10 +174,10 @@ def test_negotiation_allocates_no_announcement_register():
     sc = PriceScenario(A=(2**18 - 1, 5, 17), B=(12, 2**17, 1), epsilon=1)
     announced = sc.n + sc.d
     params = CountingParams(t=8)
-    run_negotiation(sc, params, master_seed=1, max_qubits=80)  # first-call imports, caches
+    run_negotiation(sc, params, master_seed=1)  # first-call imports, caches
     tracemalloc.start()
     try:
-        tr = run_negotiation(sc, params, master_seed=1, max_qubits=80)
+        tr = run_negotiation(sc, params, master_seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -252,8 +252,32 @@ def test_transcript_json_round_trip(worked_example):
 
 
 def test_capacity_guard(worked_example):
-    with pytest.raises(CapacityError):
-        run_negotiation(worked_example, CountingParams(t=6), max_qubits=12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="bytes"):
+            run_negotiation(worked_example, CountingParams(t=22))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the 128 MiB rows array is allocated
+
+
+def test_negotiation_counts_thirty_thousand_products_exactly():
+    # N = 30000, d = 10: 46 working qubits, and an N x N iterate would take
+    # 14 GB; counting in the plane transforms 2**18 x 2 rows (8 MiB complex)
+    rng = np.random.default_rng(5)
+    A, B = (tuple(int(p) for p in rng.integers(0, 1 << 10, size=30000)) for _ in range(2))
+    sc = PriceScenario(A=A, B=B, epsilon=1)
+    assert (sc.n, sc.d) == (15, 10)
+    code = parity_repetition_code(sc.n)  # make_random_code finds no code for n >= 9
+    tracemalloc.start()
+    try:
+        tr = run_negotiation(sc, CountingParams(t=18), code=code, master_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.t_A.m_hat == tr.t_B.m_hat == brute_force_count(sc)
+    assert peak < 48 << 20
 
 
 # ---------------------------------------------------------------------------
