@@ -36,7 +36,10 @@ register is expanded into rows ``Q^k |psi>``, filled by doubling
 (``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
 products in all), and the inverse quantum Fourier transform is applied as
 an FFT along the counting axis, which is arithmetically identical to the
-gate-level circuit.  A count costs O(N + 2**t); ``MAX_T`` bounds t.  The
+gate-level circuit.  The rows are real, so outcomes ``omega`` and
+``2**t - omega`` have equal mass, and a real-input FFT computes each pair
+once.  A count costs O(N + 2**t); ``MAX_T`` bounds t, checked when
+``CountingParams`` is built and again by the distribution.  The
 held state must be ``A|0...0>``: a collapsed state is not, and counting one
 would need the reflection about the honest state.
 
@@ -64,6 +67,13 @@ from .statevec import ATOL_INPUT, CapacityError, StateVector, SupportState, samp
 MAX_T = 21
 
 
+def _check_t(t: int) -> None:
+    """Raise ``CapacityError`` for ``t > MAX_T``, before anything is allocated."""
+    if t > MAX_T:
+        raise CapacityError(f"t = {t} needs a {1 << t} x 2 real rows array ({16 << t} bytes); "
+                            f"the limit is t = {MAX_T}")
+
+
 @dataclass(frozen=True)
 class CountingParams:
     """Phase-estimation knobs: precision qubits, shots, and the seed."""
@@ -75,6 +85,7 @@ class CountingParams:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("need at least one precision qubit")
+        _check_t(self.t)
         if self.shots < 1:
             raise ValueError("need at least one shot")
 
@@ -236,9 +247,7 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
     register.  ``t > MAX_T`` raises ``CapacityError`` before anything is
     allocated; a held state whose norm is not 1 raises ``ValueError``.
     """
-    if t > MAX_T:
-        raise CapacityError(f"t = {t} needs a {1 << t} x 2 complex rows array ({32 << t} bytes); "
-                            f"the limit is t = {MAX_T}")
+    _check_t(t)
     if held is None:
         held = honest_held_state(scenario, announced_by)
     flag = circuits.comparison_layout(scenario, announced_by)["flag"].offset
@@ -258,12 +267,17 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
         m = 1 << k
         rows[m : 2 * m] = rows[:m] @ power  # rows m..2m-1 from rows 0..m-1
         power = power @ power
-    rows = np.fft.fft(rows, axis=0, norm="forward")  # inverse QFT on the counting register
-    probs = np.einsum("ij,ij->i", rows, rows.conj()).real
+    # inverse QFT on the counting register, for omega = 0 .. 2**(t-1)
+    half = np.fft.rfft(rows, axis=0, norm="forward").view(np.float64)  # (re, im) x 2 per row
+    h = len(half) - 1  # 2**(t-1)
+    probs = np.empty(1 << t)
+    probs[: h + 1] = np.einsum("ij,ij->i", half, half)
+    probs[h + 1 :] = probs[h - 1 : 0 : -1]  # p[omega] = p[2**t - omega]
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"phase distribution sums to {total}, not 1")
-    return np.clip(probs, 0.0, None) / total
+    probs /= total
+    return probs
 
 
 def quantum_count(scenario: PriceScenario, params: CountingParams = CountingParams(),
@@ -273,17 +287,18 @@ def quantum_count(scenario: PriceScenario, params: CountingParams = CountingPara
     the state ``held`` (by default the honest one; see
     ``phase_register_distribution``).
 
-    Draws ``params.shots`` independent phase-register samples (each shot
-    uses its own child seed, so results do not depend on evaluation order),
-    folds them to rotation estimates, and reports the median.  Deterministic
-    for fixed inputs.
+    Draws ``params.shots`` phase-register samples as i.i.d. draws from one
+    stream, ``default_rng(params.rng_seed).random(params.shots)`` pushed
+    through the distribution's inverse CDF, folds them to rotation
+    estimates, and reports their median (the mean of the two middle ones
+    for an even number of shots).  Deterministic for fixed inputs.
     """
     probs = phase_register_distribution(scenario, params.t, announced_by, held)
-    children = np.random.SeedSequence(params.rng_seed).spawn(params.shots)
-    uniforms = [np.random.default_rng(child).random() for child in children]
+    uniforms = np.random.default_rng(params.rng_seed).random(params.shots)
     outcomes = tuple(int(w) for w in sample_outcomes(probs, uniforms))
     thetas = sorted(outcome_to_theta(w, params.t) for w in outcomes)
-    theta_hat = float(np.median(thetas))
+    mid = params.shots // 2
+    theta_hat = thetas[mid] if params.shots % 2 else (thetas[mid - 1] + thetas[mid]) / 2
     m_hat = theta_to_count(theta_hat, scenario.N)
     return CountEstimate(
         m_hat=m_hat,

@@ -55,7 +55,7 @@ from .commitment import CodeParams
 from .counting import CountEstimate, CountingParams
 from .statevec import ATOL_INPUT, StateVector, SupportState, sample_outcomes
 
-TRANSCRIPT_SCHEMA = "q3pen.transcript/1"
+TRANSCRIPT_SCHEMA = "q3pen.transcript/2"
 
 BEHAVIOR_HONEST = "honest"
 BEHAVIOR_MEASURE = "measure-and-cheat"

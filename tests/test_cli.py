@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -116,7 +117,19 @@ def test_run_capacity_exit_code(scenario_file, capsys):
         tracemalloc.stop()
     assert code == 3 and out == ""
     assert "capacity" in err and "bytes" in err and "Traceback" not in err
-    assert peak < 1 << 20  # refused before the 128 MiB rows array is allocated
+    assert peak < 1 << 20  # refused before the 64 MiB rows array is allocated
+
+
+def test_run_capacity_exit_code_before_the_code_search(tmp_path, capsys):
+    # 256 products need n = 9, where make_random_code searches for seconds
+    # and finds no code; t is refused when the counting parameters are built
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"A": [1] * 256, "B": [2] * 256, "epsilon": 1}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", str(path), "--t", "22")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "capacity" in err and "bytes" in err and "Traceback" not in err
 
 
 # 20-bit prices: 3 products take 2 + 3 * 20 + 1 = 63 qubits, the widest

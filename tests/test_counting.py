@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_scenario
 from helpers import GroverIterate
 from q3pen.circuits import PriceScenario, brute_force_count, comparison_layout
 from q3pen.counting import (
+    MAX_T,
     CountingParams,
     build_state_preparation,
     error_bound,
@@ -19,7 +21,7 @@ from q3pen.counting import (
     theta_to_count,
     uniform_index_unitary,
 )
-from q3pen.statevec import CapacityError, prepare_basis
+from q3pen.statevec import CapacityError, prepare_basis, sample_outcomes
 
 
 def marked_weight(prep, state):
@@ -211,14 +213,18 @@ def test_phase_distribution_counts_the_held_state(worked_example):
 
 
 def test_capacity_guard(worked_example):
+    assert CountingParams(t=MAX_T).t == MAX_T
     tracemalloc.start()
     try:
+        with pytest.raises(CapacityError, match=f"{16 << (MAX_T + 1)} bytes"):
+            CountingParams(t=MAX_T + 1)
+        # callers that pass t directly are refused by the distribution itself
         with pytest.raises(CapacityError, match="bytes"):
-            quantum_count(worked_example, CountingParams(t=22))
+            phase_register_distribution(worked_example, MAX_T + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # refused before the 128 MiB rows array is allocated
+    assert peak < 1 << 20  # refused before the 64 MiB rows array is allocated
 
 
 def test_held_state_norm_is_checked(worked_example):
@@ -253,3 +259,65 @@ def test_honest_distribution_is_the_fejer_closed_form(N, d, seed, t, announced_b
                  for s in (1, -1))
     probs = phase_register_distribution(sc, t, announced_by)
     assert np.max(np.abs(probs - closed)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(1, 16),
+       st.sampled_from(["alice", "bob"]))
+@example(6, 3, 0, 1, "alice")
+@example(6, 3, 0, 2, "bob")
+def test_real_fft_distribution_matches_the_complex_fft(N, d, seed, t, announced_by):
+    # the distribution transforms its real rows with rfft and mirrors the
+    # upper half; the complex FFT of the same rows gives every omega directly
+    rng = np.random.default_rng(seed)
+    A, B = (tuple(int(p) for p in rng.integers(0, 1 << d, size=N)) for _ in range(2))
+    sc = PriceScenario(A=A, B=B, epsilon=1)
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        probs = phase_register_distribution(sc, t, announced_by)
+    rows = rfft.call_args.args[0]
+    assert rows.shape == (1 << t, 2) and rows.dtype == np.float64
+    full = np.fft.fft(rows, axis=0, norm="forward")
+    expected = np.einsum("ij,ij->i", full, full.conj()).real
+    assert np.max(np.abs(probs - expected / expected.sum())) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+@pytest.mark.parametrize("t, shots, seed", [(6, 11, 42), (8, 5, 7), (4, 1, 0), (10, 4, 2**31 - 2)])
+def test_shots_are_one_stream_through_the_inverse_cdf(worked_example, t, shots, seed):
+    est = quantum_count(worked_example, CountingParams(t=t, shots=shots, rng_seed=seed))
+    probs = phase_register_distribution(worked_example, t)
+    expected = sample_outcomes(probs, np.random.default_rng(seed).random(shots))
+    assert est.outcomes == tuple(int(w) for w in expected)
+
+
+def test_single_shots_follow_the_phase_distribution(worked_example):
+    # one shot per count, one count per seed; the empirical distribution
+    # over k = 2**t outcomes from n seeds exceeds L1 distance eps with
+    # probability at most (2**k - 2) exp(-n eps**2 / 2) (Weissman, Ordentlich,
+    # Seroussi, Verdu and Weinberger, HP Labs HPL-2003-97, 2003); the eps
+    # below makes that under 1e-6: 0.158 in L1, a total variation of 0.079
+    t, n = 4, 2000
+    k = 1 << t
+    eps = math.sqrt(2 * (k * math.log(2) + math.log(1e6)) / n)
+    assert eps == pytest.approx(0.158, abs=5e-4)
+    counts = np.zeros(k)
+    for seed in range(n):
+        est = quantum_count(worked_example, CountingParams(t=t, shots=1, rng_seed=seed))
+        counts[est.outcomes[0]] += 1
+    probs = phase_register_distribution(worked_example, t)
+    assert np.abs(counts / n - probs).sum() < eps
+
+
+def test_even_shots_take_the_mean_of_the_two_middle_thetas(worked_example):
+    split = 0
+    for seed in range(20):
+        params = CountingParams(t=6, shots=4, rng_seed=seed)
+        est = quantum_count(worked_example, params)
+        thetas = sorted(outcome_to_theta(w, params.t) for w in est.outcomes)
+        assert est.theta_hat == (thetas[1] + thetas[2]) / 2 == float(np.median(thetas))
+        assert est.m_hat == theta_to_count(est.theta_hat, worked_example.N)
+        split += thetas[1] != thetas[2]
+    assert split > 0  # some seed's middle thetas differ, so the mean is tested

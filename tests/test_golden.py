@@ -1,8 +1,11 @@
 """Golden transcripts: ``q3pen run`` output pinned byte for byte.
 
-The files under ``tests/data/`` were produced by the gate-by-gate
-simulator before circuits ran as compiled permutations.  Any change to the
-arithmetic of Steps 1-6 (or to the sampling) shows up here as a diff.
+The files under ``tests/data/`` carry schema ``q3pen.transcript/2``: they
+were regenerated once when each count began drawing its shots from one
+random generator, which changed the ``outcomes`` lists and the schema tag
+and nothing else.  Every other field still reads as the gate-by-gate
+simulator first produced it.  Any change to the arithmetic of Steps 1-6
+(or to the sampling) shows up here as a diff.
 """
 
 import json
