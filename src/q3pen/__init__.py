@@ -9,7 +9,6 @@ from .circuits import (
     PriceScenario,
     brute_force_count,
     build_comparator,
-    build_flag_oracle,
     build_price_oracle,
     classical_f,
     comparison_layout,
@@ -44,8 +43,6 @@ from .statevec import (
     Segment,
     StateVector,
     inner_product,
-    measure,
-    prepare_amplitudes,
     prepare_basis,
     von_neumann_entropy,
 )

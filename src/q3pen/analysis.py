@@ -122,8 +122,7 @@ class EnsembleSpec:
 
 def build_price_ensemble(scenario: PriceScenario, owner: str = "alice") -> EnsembleSpec:
     """Ensemble {1/N, |i>|price_i><price_i|<i|} of the announced state."""
-    prices = scenario.A if owner == "alice" else scenario.B
-    indices = tuple(i | (p << scenario.n) for i, p in enumerate(prices, start=1))
+    indices = tuple(i | (p << scenario.n) for i, p in enumerate(scenario.prices(owner), start=1))
     return EnsembleSpec(
         probabilities=(1.0 / scenario.N,) * scenario.N,
         basis_indices=indices,

@@ -1,15 +1,15 @@
-"""Reversible circuits for the negotiation protocol.
+"""Reversible circuits for the negotiation protocol, and Steps 1-3 on them.
 
-Three builders cover the quantum side of the price comparison:
+Two builders cover the quantum side of the price comparison:
 
 * ``build_price_oracle`` loads a party's price list into a register,
   ``|i>|t> -> |i>|t XOR price_i>`` for index values 1..N (identity
   elsewhere, which keeps the operator unitary).
 * ``build_comparator`` writes ``a >= b`` into a flag qubit, restoring the
-  price registers and all scratch ancillas.
-* ``build_flag_oracle`` is the comparator viewed as an oracle acting on the
-  whole superposition produced by the two price oracles; ``flag_oracle``
-  builds it once per (n, d, announcer) and shares it.
+  price registers and all scratch ancillas.  On the comparison layout it
+  is the flag oracle: by linearity each branch ``|i>|a_i>|b_i>|0>`` of a
+  superposition picks up its own flag bit.  ``flag_oracle`` builds it once
+  per (n, d, announcer) and shares it.
 
 Every oracle is a permutation of basis states, and ``images`` returns where
 each of an array of basis indices lands.  A price oracle is compiled to a
@@ -24,17 +24,27 @@ one compare against the control mask and value the gate computed when it
 was built, and one XOR into the target bit).  Applying an oracle to an
 amplitude array moves only its support (the nonzero amplitudes) to their
 images, which is exact.
+
+The roles are "alice" (buyer) and "bob" (seller): ``OTHER`` maps each to
+the other party, ``REGISTER`` to the register its prices load into, and
+``PriceScenario.prices`` to its price list.  Steps 1-3 build the state a
+party counts, as its support: ``prepare_announced_state``,
+``load_received_state`` and ``write_comparison_flag``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevec import Gate, RegisterLayout, StateVector
+from .statevec import ATOL_INPUT, Gate, RegisterLayout, StateVector, SupportState
+
+OTHER = {"alice": "bob", "bob": "alice"}
+REGISTER = {"alice": "priceA", "bob": "priceB"}
 
 
 def classical_f(a: int, b: int) -> int:
@@ -89,6 +99,10 @@ class PriceScenario:
     def N(self) -> int:
         return len(self.A)
 
+    def prices(self, role: str) -> tuple[int, ...]:
+        """The price list of ``role``: A for "alice", B for "bob"."""
+        return {"alice": self.A, "bob": self.B}[role]
+
 
 def brute_force_count(scenario: PriceScenario) -> int:
     """Classical count of products with buyer price >= seller price."""
@@ -103,8 +117,7 @@ def announcement_layout(scenario: PriceScenario, owner: str) -> RegisterLayout:
 
 @functools.cache
 def _announcement_layout(n: int, d: int, owner: str) -> RegisterLayout:
-    price = "priceA" if owner == "alice" else "priceB"
-    return RegisterLayout(("index", n), (price, d))
+    return RegisterLayout(("index", n), (REGISTER[owner], d))
 
 
 def comparison_layout(scenario: PriceScenario, announced_by: str) -> RegisterLayout:
@@ -120,11 +133,10 @@ def comparison_layout(scenario: PriceScenario, announced_by: str) -> RegisterLay
 
 @functools.cache
 def _comparison_layout(n: int, d: int, announced_by: str) -> RegisterLayout:
-    first, second = ("priceA", "priceB") if announced_by == "alice" else ("priceB", "priceA")
     return RegisterLayout(
         ("index", n),
-        (first, d),
-        (second, d),
+        (REGISTER[announced_by], d),
+        (REGISTER[OTHER[announced_by]], d),
         ("flag", 1),
         ("ancilla", d),  # the comparator's scratch: one qubit per price bit
     )
@@ -270,38 +282,68 @@ def build_comparator(d: int, layout: RegisterLayout) -> Circuit:
     compute: list[Gate] = []
     # b_j <- a_j ^ b_j
     for j in range(d):
-        compute.append(Gate.x(b.offset + j, ((a.offset + j, 1),)))
+        compute.append(Gate(b.offset + j, ((a.offset + j, 1),)))
     # equal-so-far chain, top bit downward
     if d >= 2:
-        compute.append(Gate.x(eq(d - 1), ((b.offset + d - 1, 0),)))
+        compute.append(Gate(eq(d - 1), ((b.offset + d - 1, 0),)))
         for k in range(d - 2, 0, -1):
-            compute.append(Gate.x(eq(k), ((eq(k + 1), 1), (b.offset + k, 0))))
+            compute.append(Gate(eq(k), ((eq(k + 1), 1), (b.offset + k, 0))))
     # first-difference terms: a_j = 0 and (a_j ^ b_j) = 1 means a_j < b_j
     msb = d - 1
-    compute.append(Gate.x(less, ((a.offset + msb, 0), (b.offset + msb, 1))))
+    compute.append(Gate(less, ((a.offset + msb, 0), (b.offset + msb, 1))))
     for j in range(d - 2, -1, -1):
         compute.append(
-            Gate.x(less, ((eq(j + 1), 1), (a.offset + j, 0), (b.offset + j, 1)))
+            Gate(less, ((eq(j + 1), 1), (a.offset + j, 0), (b.offset + j, 1)))
         )
 
-    flag_copy = Gate.x(flag.offset, ((less, 0),))
+    flag_copy = Gate(flag.offset, ((less, 0),))
     gates = tuple(compute) + (flag_copy,) + tuple(reversed(compute))
     return Circuit(gates, layout, ancilla="ancilla", name=f"compare-{d}bit")
 
 
-def build_flag_oracle(layout: RegisterLayout) -> Circuit:
-    """Comparison oracle on a full protocol layout.
-
-    Linearity does the rest: on a superposition of ``|i>|a_i>|b_i>|0>``
-    components each branch picks up its own flag bit (XOR semantics on the
-    flag, so a pre-set flag is flipped back where the comparison holds).
-    """
-    return build_comparator(layout["priceA"].width, layout)
-
-
 @functools.cache
 def flag_oracle(n: int, d: int, announced_by: str) -> Circuit:
-    """The flag oracle on the comparison layout of an n-bit index, d-bit
-    prices and the given announcer.  It depends on nothing else, so it is
-    built once per (n, d, announcer) and shared."""
-    return build_flag_oracle(_comparison_layout(n, d, announced_by))
+    """The flag oracle: the comparator on the comparison layout of an n-bit
+    index, d-bit prices and the given announcer.  It depends on nothing
+    else, so it is built once per (n, d, announcer) and shared."""
+    return build_comparator(d, _comparison_layout(n, d, announced_by))
+
+
+# ---------------------------------------------------------------------------
+# Steps 1-3 on the support
+
+
+def prepare_announced_state(scenario: PriceScenario, owner: str) -> SupportState:
+    """The state a party sends in Step 1: the uniform superposition over
+    index values 1..N with its own prices XOR-loaded alongside, i.e. the
+    indices ``i | price_i << n``, in ascending order, with amplitude
+    ``1/sqrt(N)`` each."""
+    layout = announcement_layout(scenario, owner)
+    oracle = build_price_oracle(scenario.prices(owner), layout, REGISTER[owner])
+    indices = np.sort(oracle.images(np.arange(1, scenario.N + 1)))
+    amplitudes = np.full(scenario.N, 1.0 / math.sqrt(scenario.N), dtype=np.complex128)
+    return SupportState(layout.num_qubits, indices, amplitudes)
+
+
+def load_received_state(scenario: PriceScenario, announced_by: str,
+                        state: SupportState) -> SupportState:
+    """Step 2 on a received state: its support, with the receiver's prices
+    loaded alongside, as indices on the comparison layout (extending the
+    register by zeros on top leaves the indices unchanged)."""
+    width = announcement_layout(scenario, announced_by).num_qubits
+    if state.num_qubits != width:
+        raise ValueError(f"received a {state.num_qubits}-qubit state; the announcement has {width}")
+    norm = float(np.linalg.norm(state.amplitudes))
+    if abs(norm - 1.0) > ATOL_INPUT:
+        raise ValueError(f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
+    layout = comparison_layout(scenario, announced_by)
+    receiver = OTHER[announced_by]
+    oracle = build_price_oracle(scenario.prices(receiver), layout, REGISTER[receiver])
+    return SupportState(layout.num_qubits, oracle.images(state.indices), state.amplitudes)
+
+
+def write_comparison_flag(scenario: PriceScenario, announced_by: str,
+                          held: SupportState) -> SupportState:
+    """Step 3 on a held state: the flag oracle applied to its indices."""
+    oracle = flag_oracle(scenario.n, scenario.d, announced_by)
+    return held._replace(indices=oracle.images(held.indices))

@@ -16,7 +16,8 @@ holds).
 A scenario file is a JSON object with fields N (optional, checked), A, B,
 epsilon, and optional blocks ``counting {"t", "shots"}``, ``commitment
 {"c"}`` and ``seed``; missing options default to t=6, shots=11, c=2,
-seed=42.
+seed=42.  ``run`` seeds its commitment code with the master seed's
+``code`` child seed (``protocol.negotiation_seeds``), as the API does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import sys
 
 from . import analysis, commitment, protocol
-from .circuits import PriceScenario, as_int
+from .circuits import OTHER, PriceScenario, as_int
 from .counting import CountingParams
 from .statevec import CapacityError
 
@@ -77,7 +78,7 @@ def scenario_from_dict(doc: dict) -> tuple[PriceScenario, dict]:
 
 def _parse_adversary(arg: str) -> tuple[str, str]:
     party, sep, behavior = arg.partition(":")
-    if not sep or party not in ("alice", "bob") or behavior not in protocol.BEHAVIORS:
+    if not sep or party not in OTHER or behavior not in protocol.BEHAVIORS:
         raise ValueError(
             f"--adversary expects PARTY:BEHAVIOR with party in alice|bob and "
             f"behavior in {'|'.join(protocol.BEHAVIORS)}; got {arg!r}"
@@ -100,7 +101,8 @@ def cmd_run(args) -> int:
         options["seed"] = _seed(args.seed, "--seed")
 
     params = CountingParams(t=options["t"], shots=options["shots"])
-    code = commitment.make_random_code(scenario.n, c=options["c"], seed=options["seed"])
+    code_seed = protocol.negotiation_seeds(options["seed"])["code"]
+    code = commitment.make_random_code(scenario.n, c=options["c"], seed=code_seed)
     if args.adversary:
         party, behavior = _parse_adversary(args.adversary)
         transcript = protocol.run_with_adversary(

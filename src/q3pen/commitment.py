@@ -50,6 +50,21 @@ def _nonzero_messages(n: int) -> np.ndarray:
     return msgs
 
 
+def _codeword_weights(g: np.ndarray) -> np.ndarray:
+    """Hamming weights of all nonzero codewords of the 0/1 generator ``g``
+    (n rows), enumerated exhaustively, so n <= 16."""
+    n = g.shape[0]
+    if n > 16:
+        raise ValueError("exhaustive weight enumeration limited to n <= 16")
+    return ((_nonzero_messages(n) @ g) % 2).sum(axis=1)
+
+
+def _in_window(weights: np.ndarray, m: int, delta: float) -> bool:
+    """True if every weight lies in [delta*m, (1-delta)*m]."""
+    return bool(weights.min() >= math.ceil(delta * m)
+                and weights.max() <= math.floor((1.0 - delta) * m))
+
+
 @dataclass(frozen=True, eq=False)
 class CodeParams:
     """A binary linear code used to fingerprint n-bit messages.
@@ -85,9 +100,7 @@ class CodeParams:
 
     def codeword_weights(self) -> np.ndarray:
         """Hamming weights of all nonzero codewords (exhaustive, n <= 16)."""
-        if self.n > 16:
-            raise ValueError("exhaustive weight enumeration limited to n <= 16")
-        return ((_nonzero_messages(self.n) @ self.generator) % 2).sum(axis=1)
+        return _codeword_weights(self.generator)
 
     def check_distance_window(self) -> bool:
         """True if all pairwise distances lie in [delta*m, (1-delta)*m].
@@ -95,10 +108,7 @@ class CodeParams:
         For a linear code pairwise distances are codeword weights, so the
         check is exhaustive over the nonzero codewords.
         """
-        w = self.codeword_weights()
-        lo = math.ceil(self.delta_code * self.m)
-        hi = math.floor((1.0 - self.delta_code) * self.m)
-        return bool(w.min() >= lo and w.max() <= hi)
+        return _in_window(self.codeword_weights(), self.m, self.delta_code)
 
 
 def make_random_code(n: int, c: float = 2.0, delta: float = 0.25, seed: int = 0,
@@ -113,12 +123,13 @@ def make_random_code(n: int, c: float = 2.0, delta: float = 0.25, seed: int = 0,
     m = int(round(c * n))
     if m <= n:
         raise ValueError(f"m = round(c*n) = {m} does not expand {n} message bits")
+    if not 0.0 < delta < 0.5:
+        raise ValueError("delta_code must lie in (0, 1/2)")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         g = rng.integers(0, 2, size=(n, m), dtype=np.uint8)
-        code = CodeParams(n=n, m=m, generator=g, delta_code=delta)
-        if code.check_distance_window():
-            return code
+        if _in_window(_codeword_weights(g), m, delta):
+            return CodeParams(n=n, m=m, generator=g, delta_code=delta)
     raise RuntimeError(f"no [{m},{n}] code with distance window {delta} in {max_tries} tries")
 
 
@@ -136,7 +147,7 @@ def parity_repetition_code(n: int) -> CodeParams:
         g[i, i] = 1
         g[i, n + i] ^= 1
         g[i, n + (i - 1) % n] ^= 1  # at n=1 both XORs cancel: the parity bit vanishes
-    w = ((_nonzero_messages(n) @ g) % 2).sum(axis=1)
+    w = _codeword_weights(g)
     balanced = min(int(w.min()), m - int(w.max())) / m
     code = CodeParams(n=n, m=m, generator=g, delta_code=min(0.25, balanced))
     if not code.check_distance_window():

@@ -28,10 +28,11 @@ real vector ``[||flagged||, ||unflagged||]`` and ``Q`` is the 2 x 2 matrix
 ``(I - 2 psi psi^T) . diag(-1, 1)``.  The held state is a
 ``statevec.SupportState`` (basis indices on the comparison layout, and
 their amplitudes); the protocol passes the state a party holds after
-Steps 2-3, and without one the honest state is built from the comparison
-oracles: the images of index values 1..N, each with amplitude 1/sqrt(N).
-Either way the flag bits are read from the flag oracle's gate-level images,
-not from the classical comparison.  The joint state over the counting
+Steps 2-3, and without one ``honest_held_state`` runs those same steps
+(``circuits.prepare_announced_state``, ``load_received_state`` and
+``write_comparison_flag``) honestly.  Either way the flag bits are read
+from the flag oracle's gate-level images, not from the classical
+comparison.  The joint state over the counting
 register is expanded into rows ``Q^k |psi>``, filled by doubling
 (``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
 products in all), and the inverse quantum Fourier transform is applied as
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits
-from .circuits import PriceScenario
+from .circuits import OTHER, REGISTER, PriceScenario
 from .statevec import ATOL_INPUT, CapacityError, StateVector, SupportState, sample_outcomes
 
 # The largest phase register counted: the distribution's rounding grows with
@@ -174,10 +175,8 @@ def comparison_oracles(scenario: PriceScenario, announced_by: str) -> tuple:
     """The announcer's price oracle, the receiver's, then the flag oracle,
     on the comparison layout of the state ``announced_by`` sends."""
     layout = circuits.comparison_layout(scenario, announced_by)
-    loads = [("priceA", scenario.A), ("priceB", scenario.B)]
-    if announced_by == "bob":
-        loads.reverse()
-    oracles = [circuits.build_price_oracle(prices, layout, target) for target, prices in loads]
+    oracles = [circuits.build_price_oracle(scenario.prices(role), layout, REGISTER[role])
+               for role in (announced_by, OTHER[announced_by])]
     return (*oracles, circuits.flag_oracle(scenario.n, scenario.d, announced_by))
 
 
@@ -193,15 +192,11 @@ def build_state_preparation(scenario: PriceScenario, announced_by: str = "alice"
 
 
 def honest_held_state(scenario: PriceScenario, announced_by: str = "alice") -> SupportState:
-    """``A|0...0>`` on the comparison layout, as its support: index values
-    1..N pushed through the comparison oracles, each with amplitude
-    1/sqrt(N)."""
-    oracles = comparison_oracles(scenario, announced_by)
-    images = np.arange(1, scenario.N + 1)
-    for c in oracles:
-        images = c.images(images)
-    return SupportState(oracles[0].layout.num_qubits, images,
-                        np.full(scenario.N, 1.0 / math.sqrt(scenario.N)))
+    """``A|0...0>`` on the comparison layout, as its support: Steps 1-3 run
+    honestly on the state ``announced_by`` sends."""
+    state = circuits.prepare_announced_state(scenario, announced_by)
+    loaded = circuits.load_received_state(scenario, announced_by, state)
+    return circuits.write_comparison_flag(scenario, announced_by, loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +245,7 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
     _check_t(t)
     if held is None:
         held = honest_held_state(scenario, announced_by)
-    flag = circuits.comparison_layout(scenario, announced_by)["flag"].offset
-    flagged = ((held.indices >> flag) & 1) == 1
+    flagged = circuits.comparison_layout(scenario, announced_by)["flag"].value(held.indices) == 1
     amps = held.amplitudes
     psi = np.array([np.linalg.norm(amps[flagged]), np.linalg.norm(amps[~flagged])])
     norm = float(np.linalg.norm(psi))

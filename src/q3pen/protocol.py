@@ -13,7 +13,10 @@ The run alternates between the buyer ("alice") and the seller ("bob"):
    through the flag oracle; what it holds is again a ``SupportState``, now
    on the comparison layout.  Steps 1-3 are table lookups and index
    permutations of N basis states: no negotiation allocates a
-   ``2**(n+d)`` or ``2**work`` array or builds a gate to load prices;
+   ``2**(n+d)`` or ``2**work`` array or builds a gate to load prices.
+   They live in ``circuits`` (``prepare_announced_state``,
+   ``load_received_state`` and ``write_comparison_flag``), and the honest
+   held state of ``counting`` is their composition;
 4. each party counts the state it holds, in the plane of its flagged and
    unflagged parts;
 5. the counts are exchanged under bit-string commitment (fingerprint state,
@@ -21,12 +24,12 @@ The run alternates between the buyer ("alice") and the seller ("bob"):
    |t_A - t_B| <= delta;
 6. trade happens iff both counts reach the threshold.
 
-Sending a quantum state is modeled as transferring ownership of its
-support (the Step-1 ``SupportState``) or of a ``StateVector`` (the Step-5
-fingerprint) through an in-process channel at a cost equal to its qubit
-count; classical messages cost their bit length.  The headline cost of an
-honest run is 2(n+d) qubits plus 2n cbits, with the Step-5 fingerprint
-qubits accounted as a separate line item.
+Every transmission is recorded as a ``ChannelMessage`` with its cost: a
+quantum state (the Step-1 support, the Step-5 fingerprint) costs its qubit
+count, classical messages their bit length.  The states themselves pass
+between the steps as values.  The headline cost of an honest run is
+2(n+d) qubits plus 2n cbits, with the Step-5 fingerprint qubits accounted
+as a separate line item.
 
 Adversarial behaviors are scripted, not emergent: "measure-and-cheat"
 measures every qubit of the received state in Step 2 (``measure_announced``,
@@ -42,7 +45,6 @@ scripted guess instead.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -50,10 +52,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import circuits, commitment, counting
-from .circuits import PriceScenario
+from .circuits import (OTHER, REGISTER, PriceScenario, load_received_state,
+                       prepare_announced_state, write_comparison_flag)
 from .commitment import CodeParams
 from .counting import CountEstimate, CountingParams
-from .statevec import ATOL_INPUT, StateVector, SupportState, sample_outcomes
+from .statevec import SupportState, sample_outcomes
 
 TRANSCRIPT_SCHEMA = "q3pen.transcript/2"
 
@@ -62,8 +65,8 @@ BEHAVIOR_MEASURE = "measure-and-cheat"
 BEHAVIOR_FALSE_UNVEIL = "false-unveil"
 BEHAVIORS = (BEHAVIOR_HONEST, BEHAVIOR_MEASURE, BEHAVIOR_FALSE_UNVEIL)
 
-# each role, "alice" (buyer) or "bob" (seller), and the other party
-OTHER = {"alice": "bob", "bob": "alice"}
+# the child seeds a negotiation draws from its master seed, in draw order
+SEED_NAMES = ("count_alice", "count_bob", "verify_alice", "verify_bob", "adversary", "code")
 
 QUANTUM = "quantum-state"
 CLASSICAL = "classical-bits"
@@ -81,7 +84,6 @@ class ChannelMessage:
     qubit_cost: int
     cbit_cost: int
     value: int | None = None
-    payload: SupportState | StateVector | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -191,20 +193,7 @@ def transcript_costs(transcript: NegotiationTranscript) -> CostSummary:
 
 
 # ---------------------------------------------------------------------------
-# state construction helpers
-
-
-def prepare_announced_state(scenario: PriceScenario, owner: str) -> SupportState:
-    """The state a party sends in Step 1: the uniform superposition over
-    index values 1..N with its own prices XOR-loaded alongside, i.e. the
-    indices ``i | price_i << n``, in ascending order, with amplitude
-    ``1/sqrt(N)`` each."""
-    layout = circuits.announcement_layout(scenario, owner)
-    prices, target = (scenario.A, "priceA") if owner == "alice" else (scenario.B, "priceB")
-    oracle = circuits.build_price_oracle(prices, layout, target)
-    indices = np.sort(oracle.images(np.arange(1, scenario.N + 1)))
-    amplitudes = np.full(scenario.N, 1.0 / math.sqrt(scenario.N), dtype=np.complex128)
-    return SupportState(layout.num_qubits, indices, amplitudes)
+# the measurement attack
 
 
 def measure_announced(state: SupportState, rng: np.random.Generator) -> tuple[int, SupportState]:
@@ -213,37 +202,14 @@ def measure_announced(state: SupportState, rng: np.random.Generator) -> tuple[in
     ``state.indices`` must be ascending, as Step 1 builds them.  One
     ``rng.random()`` picks a support entry by inverse CDF over ``|a|**2`` in
     that order.  Zero amplitudes add nothing to a CDF, so the outcome and
-    the collapsed state are those ``statevec.measure`` gives on the dense
-    register for the same draw.
+    the collapsed state are those a projective measurement of the dense
+    register gives for the same draw.
     """
     k = int(sample_outcomes(np.abs(state.amplitudes) ** 2, rng.random()))
     amplitude = state.amplitudes[k : k + 1]
     collapsed = state._replace(indices=state.indices[k : k + 1],
                                amplitudes=amplitude / np.linalg.norm(amplitude))
     return int(state.indices[k]), collapsed
-
-
-def load_received_state(scenario: PriceScenario, announced_by: str,
-                        state: SupportState) -> SupportState:
-    """Step 2 on a received state: its support, with the receiver's prices
-    loaded alongside, as indices on the comparison layout."""
-    width = circuits.announcement_layout(scenario, announced_by).num_qubits
-    if state.num_qubits != width:
-        raise ValueError(f"received a {state.num_qubits}-qubit state; the announcement has {width}")
-    norm = float(np.linalg.norm(state.amplitudes))
-    if abs(norm - 1.0) > ATOL_INPUT:
-        raise ValueError(f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
-    layout = circuits.comparison_layout(scenario, announced_by)
-    prices, target = (scenario.B, "priceB") if announced_by == "alice" else (scenario.A, "priceA")
-    oracle = circuits.build_price_oracle(prices, layout, target)
-    return SupportState(layout.num_qubits, oracle.images(state.indices), state.amplitudes)
-
-
-def write_comparison_flag(scenario: PriceScenario, announced_by: str,
-                          held: SupportState) -> SupportState:
-    """Step 3 on a held state: the flag oracle applied to its indices."""
-    oracle = circuits.flag_oracle(scenario.n, scenario.d, announced_by)
-    return held._replace(indices=oracle.images(held.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +244,19 @@ def run_with_adversary(scenario: PriceScenario,
     return _run(scenario, params, code, master_seed, cheater, behavior, false_unveil_value)
 
 
+def negotiation_seeds(master_seed: int) -> dict[str, int]:
+    """The child seeds of one negotiation, keyed by ``SEED_NAMES``: one draw
+    each from ``default_rng(master_seed)``.  A run given no code builds its
+    commitment code from the ``code`` seed, and so does ``q3pen run``."""
+    draws = np.random.default_rng(master_seed).integers(0, 2**31 - 1, size=len(SEED_NAMES))
+    return {name: int(s) for name, s in zip(SEED_NAMES, draws)}
+
+
 def _run(scenario, params, code, master_seed, cheater=None,
          behavior=BEHAVIOR_HONEST, false_unveil_value=None) -> NegotiationTranscript:
     """One negotiation; ``cheater`` is the scripted role, if any, and
     ``behavior`` its script."""
-    seeder = np.random.default_rng(master_seed)
-    seeds = {
-        name: int(s)
-        for name, s in zip(
-            ("count_alice", "count_bob", "verify_alice", "verify_bob", "adversary", "code"),
-            seeder.integers(0, 2**31 - 1, size=6),
-        )
-    }
+    seeds = negotiation_seeds(master_seed)
     adversary_rng = np.random.default_rng(seeds["adversary"])
     if code is None:
         code = commitment.make_random_code(scenario.n, c=2.0, seed=seeds["code"])
@@ -320,7 +287,7 @@ def _run(scenario, params, code, master_seed, cheater=None,
         state = prepare_announced_state(scenario, owner)
         announced[owner] = state
         msgs.append(ChannelMessage(1, owner, other, QUANTUM, "price-state",
-                                   qubit_cost=state.num_qubits, cbit_cost=0, payload=state))
+                                   qubit_cost=state.num_qubits, cbit_cost=0))
     transcript.timings[1] = clock() - t0
 
     # Step 2: a measuring adversary strikes on receipt, before doing any
@@ -328,9 +295,11 @@ def _run(scenario, params, code, master_seed, cheater=None,
     # Every other receiver takes the support and loads its own prices.
     t0 = clock()
     if behavior == BEHAVIOR_MEASURE:
-        outcome, _ = measure_announced(announced.pop(OTHER[cheater]), adversary_rng)
-        transcript.adversary["learned"] = {"index": outcome & ((1 << scenario.n) - 1),
-                                           "price": outcome >> scenario.n}
+        victim = OTHER[cheater]
+        outcome, _ = measure_announced(announced.pop(victim), adversary_rng)
+        layout = circuits.announcement_layout(scenario, victim)
+        transcript.adversary["learned"] = {"index": layout["index"].value(outcome),
+                                           "price": layout[REGISTER[victim]].value(outcome)}
 
     loaded = {announced_by: load_received_state(scenario, announced_by, state)
               for announced_by, state in announced.items()}
@@ -347,7 +316,7 @@ def _run(scenario, params, code, master_seed, cheater=None,
     # vice versa.
     t0 = clock()
     estimates = {}
-    for role, announced_by in (("bob", "alice"), ("alice", "bob")):
+    for announced_by, role in OTHER.items():
         if behavior == BEHAVIOR_MEASURE and role == cheater:
             # the measurement destroyed the superposition and a collapsed
             # state is not counted, so the cheater improvises an uninformed
@@ -371,8 +340,7 @@ def _run(scenario, params, code, master_seed, cheater=None,
     for owner, other in OTHER.items():
         records[owner] = commitment.commit(committed[owner], code)
         msgs.append(ChannelMessage(5, owner, other, QUANTUM, "fingerprint",
-                                   qubit_cost=code.num_fingerprint_qubits, cbit_cost=0,
-                                   payload=records[owner].fingerprint))
+                                   qubit_cost=code.num_fingerprint_qubits, cbit_cost=0))
 
     # unveil order: the honest party goes first so a measuring cheater can
     # try to parrot the honest count (that is the lie verification catches)
@@ -462,10 +430,11 @@ def measurement_attack_statistics(scenario: PriceScenario, trials: int,
     rng = np.random.default_rng(seed)
     outcomes = state.indices[sample_outcomes(np.abs(state.amplitudes) ** 2, rng.random(trials))]
 
-    prices = np.array((0, *(scenario.A if victim == "alice" else scenario.B)))  # index 1..N
-    indices = outcomes & ((1 << scenario.n) - 1)
+    layout = circuits.announcement_layout(scenario, victim)
+    prices = np.array((0, *scenario.prices(victim)))  # index 1..N
+    indices = layout["index"].value(outcomes)
     valid = bool(np.all((indices >= 1) & (indices <= scenario.N))
-                 and np.array_equal(prices[indices], outcomes >> scenario.n))
+                 and np.array_equal(prices[indices], layout[REGISTER[victim]].value(outcomes)))
     counts = np.bincount(indices, minlength=scenario.N + 1)
     return AttackStatistics(
         trials=trials,

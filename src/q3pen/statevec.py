@@ -1,6 +1,6 @@
 """State-vector simulation: dense states and states given as their
-support, multi-controlled NOT gates, measurement, inner products, and
-density-matrix entropy.
+support, multi-controlled NOT gates, inverse-CDF sampling, inner products,
+and density-matrix entropy.
 
 Conventions used throughout the package:
 
@@ -156,24 +156,6 @@ def prepare_basis(num_qubits: int, basis_index: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def prepare_amplitudes(num_qubits: int, amplitudes) -> StateVector:
-    """State with the given amplitudes, renormalized.
-
-    Used to inject superpositions that have no convenient gate construction,
-    e.g. a uniform superposition over index values 1..N when N is not a
-    power of two.  Raises on an all-zero input.
-    """
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.shape != (1 << num_qubits,):
-        raise ValueError(f"expected {1 << num_qubits} amplitudes, got shape {amps.shape}")
-    if not np.all(np.isfinite(amps.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
-    norm = float(np.linalg.norm(amps))
-    if norm < 1e-12:
-        raise ValueError("cannot normalize an all-zero amplitude vector")
-    return StateVector(num_qubits, amps / norm)
-
-
 # ---------------------------------------------------------------------------
 # gates
 
@@ -188,7 +170,7 @@ class Gate(tuple):
     inverse.  ``mask`` and ``value`` are computed once, when the gate is
     built: basis index ``x`` fires the gate iff ``x & mask == value``.
 
-    Build one with ``Gate.x(target, controls)``; a control given as a bare
+    Build one with ``Gate(target, controls)``; a control given as a bare
     qubit is solid.  The fields are read-only and always agree with
     ``controls``.
     """
@@ -224,23 +206,12 @@ class Gate(tuple):
             pairs.append((qubit, polarity))
         return super().__new__(cls, (target, tuple(pairs), mask, value))
 
-    @classmethod
-    def x(cls, target: int, controls=()) -> "Gate":
-        return cls(target, controls)
-
     def __repr__(self):
-        return f"Gate.x({self.target}, {self.controls})"
+        return f"Gate({self.target}, {self.controls})"
 
 
 # ---------------------------------------------------------------------------
-# measurement
-
-
-def _segment_bounds(segment) -> tuple[int, int]:
-    if isinstance(segment, Segment):
-        return segment.offset, segment.width
-    offset, width = segment
-    return int(offset), int(width)
+# sampling
 
 
 def sample_outcomes(probs: np.ndarray, uniforms):
@@ -249,35 +220,6 @@ def sample_outcomes(probs: np.ndarray, uniforms):
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     return np.searchsorted(cdf, uniforms, side="right")
-
-
-def measure(state: StateVector, segment, rng=0) -> tuple[int, StateVector]:
-    """Projectively measure one register segment.
-
-    Returns ``(outcome, collapsed_state)`` where outcome is the integer read
-    from the segment (qubit ``offset`` is its least significant bit).  The
-    outcome is sampled from the marginal distribution of the segment and the
-    remaining amplitudes are renormalized.  ``rng`` is an integer seed or a
-    numpy Generator; identical seeds give identical outcome sequences.
-    """
-    offset, width = _segment_bounds(segment)
-    if width < 1:
-        raise ValueError("cannot measure an empty segment")
-    if offset + width > state.num_qubits:
-        raise ValueError("segment lies outside the state's qubits")
-    gen = np.random.default_rng(rng)  # a Generator is returned as it is
-
-    idx = np.arange(state.dim)
-    values = (idx >> offset) & ((1 << width) - 1)
-    weights = state.probabilities()
-    probs = np.bincount(values, weights=weights, minlength=1 << width)
-    outcome = int(sample_outcomes(np.clip(probs, 0.0, None), gen.random()))
-
-    amps = np.where(values == outcome, state.amplitudes, 0.0)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:  # numerically impossible outcome; guard anyway
-        raise RuntimeError("measurement collapsed to a zero state")
-    return outcome, StateVector(state.num_qubits, amps / norm)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ iterate on the full ``2**work``-amplitude register.  ``reference_price_gates``
 builds, from a price list, the NOT list a price oracle stands for (the
 package compiles the list to a table and never builds these gates).
 ``dense_state`` expands a state given as its support into the full
-register.  The package's fast paths are tested against them.
+register, ``prepare_amplitudes`` builds a dense state from any amplitudes,
+and ``measure`` measures one segment of a dense state.  The package's fast
+paths are tested against them.
 """
 
 import numpy as np
 
-from q3pen.statevec import Gate, StateVector
+from q3pen.statevec import Gate, Segment, StateVector, sample_outcomes
 
 
 def dense_gate_matrix(gate, num_qubits: int) -> np.ndarray:
@@ -59,6 +61,24 @@ def dense_state(state) -> StateVector:
     return StateVector(state.num_qubits, amps)
 
 
+def prepare_amplitudes(num_qubits: int, amplitudes) -> StateVector:
+    """State with the given amplitudes, renormalized.
+
+    Used to inject superpositions that have no convenient gate construction,
+    e.g. a uniform superposition over index values 1..N when N is not a
+    power of two.  Raises on an all-zero input.
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.shape != (1 << num_qubits,):
+        raise ValueError(f"expected {1 << num_qubits} amplitudes, got shape {amps.shape}")
+    if not np.all(np.isfinite(amps.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
+    norm = float(np.linalg.norm(amps))
+    if norm < 1e-12:
+        raise ValueError("cannot normalize an all-zero amplitude vector")
+    return StateVector(num_qubits, amps / norm)
+
+
 # ---------------------------------------------------------------------------
 # gate-level reference
 
@@ -88,7 +108,7 @@ def reference_price_gates(prices, layout, target):
     gates = []
     for i, price in enumerate(prices, start=1):
         controls = tuple((index.offset + j, (i >> j) & 1) for j in range(index.width))
-        gates += [Gate.x(tgt.offset + b, controls) for b in range(tgt.width) if (price >> b) & 1]
+        gates += [Gate(tgt.offset + b, controls) for b in range(tgt.width) if (price >> b) & 1]
     return tuple(gates)
 
 
@@ -122,6 +142,42 @@ def extend_with_zeros(state: StateVector, extra_qubits: int) -> StateVector:
     amps = np.zeros(state.dim << extra_qubits, dtype=np.complex128)
     amps[: state.dim] = state.amplitudes
     return StateVector(state.num_qubits + extra_qubits, amps)
+
+
+def _segment_bounds(segment) -> tuple[int, int]:
+    if isinstance(segment, Segment):
+        return segment.offset, segment.width
+    offset, width = segment
+    return int(offset), int(width)
+
+
+def measure(state: StateVector, segment, rng=0) -> tuple[int, StateVector]:
+    """Projectively measure one register segment.
+
+    Returns ``(outcome, collapsed_state)`` where outcome is the integer read
+    from the segment (qubit ``offset`` is its least significant bit).  The
+    outcome is sampled from the marginal distribution of the segment and the
+    remaining amplitudes are renormalized.  ``rng`` is an integer seed or a
+    numpy Generator; identical seeds give identical outcome sequences.
+    """
+    offset, width = _segment_bounds(segment)
+    if width < 1:
+        raise ValueError("cannot measure an empty segment")
+    if offset + width > state.num_qubits:
+        raise ValueError("segment lies outside the state's qubits")
+    gen = np.random.default_rng(rng)  # a Generator is returned as it is
+
+    idx = np.arange(state.dim)
+    values = (idx >> offset) & ((1 << width) - 1)
+    weights = state.probabilities()
+    probs = np.bincount(values, weights=weights, minlength=1 << width)
+    outcome = int(sample_outcomes(np.clip(probs, 0.0, None), gen.random()))
+
+    amps = np.where(values == outcome, state.amplitudes, 0.0)
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:  # numerically impossible outcome; guard anyway
+        raise RuntimeError("measurement collapsed to a zero state")
+    return outcome, StateVector(state.num_qubits, amps / norm)
 
 
 def ancillas_clean(circuit, basis_index: int) -> bool:

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from helpers import ancillas_clean, basis_component, dense_circuit_matrix
+from helpers import ancillas_clean, basis_component, dense_circuit_matrix, prepare_amplitudes
 from q3pen.circuits import (
     PriceScenario,
     announcement_layout,
     brute_force_count,
     build_comparator,
-    build_flag_oracle,
     build_price_oracle,
     classical_f,
     comparison_layout,
+    flag_oracle,
 )
-from q3pen.statevec import prepare_amplitudes, prepare_basis
+from q3pen.statevec import prepare_basis
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_flag_oracle_worked_example_pattern(worked_example):
 def test_flag_oracle_xor_semantics():
     sc = PriceScenario(A=(3,), B=(2,), epsilon=1)
     layout = comparison_layout(sc, "alice")
-    circ = build_flag_oracle(layout)
+    circ = flag_oracle(sc.n, sc.d, "alice")
     # f(3, 2) = 1, so a pre-set flag is flipped back to 0
     x = basis_component(layout, index=1, priceA=3, priceB=2, flag=1)
     out = circ.apply(prepare_basis(layout.num_qubits, x))
@@ -239,7 +239,7 @@ def test_flag_oracle_xor_semantics():
 def test_flag_oracle_applied_twice_is_identity():
     sc = PriceScenario(A=(2, 1), B=(1, 3), epsilon=1)
     layout = comparison_layout(sc, "alice")
-    circ = build_flag_oracle(layout)
+    circ = flag_oracle(sc.n, sc.d, "alice")
     mat = dense_circuit_matrix(circ)
     assert np.max(np.abs(mat @ mat - np.eye(mat.shape[0]))) < 1e-9
 
@@ -283,4 +283,4 @@ def test_circuit_rejects_gates_outside_layout():
 
     lay = RegisterLayout(("a", 2))
     with pytest.raises(ValueError):
-        Circuit((Gate.x(5),), lay)
+        Circuit((Gate(5),), lay)

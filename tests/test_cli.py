@@ -4,7 +4,10 @@ import tracemalloc
 
 import pytest
 
+from q3pen.circuits import PriceScenario
 from q3pen.cli import main, scenario_from_dict
+from q3pen.counting import CountingParams
+from q3pen.protocol import run_with_adversary
 
 WORKED_EXAMPLE = {
     "N": 6,
@@ -165,6 +168,21 @@ def test_run_with_adversary_flag(scenario_file, capsys):
     assert adv["party"] == "bob"
     learned = adv["learned"]
     assert learned["price"] == WORKED_EXAMPLE["A"][learned["index"] - 1]
+
+
+@pytest.mark.parametrize("seed, adversary", [(5, "alice:false-unveil"),
+                                             (17, "bob:measure-and-cheat")])
+def test_run_prints_the_api_transcript(scenario_file, capsys, seed, adversary):
+    # the command builds its commitment code from the same child seed as the
+    # API; with the master seed itself, these two runs verify differently
+    code, out, _ = run_cli(capsys, "run", scenario_file, "--adversary", adversary,
+                           "--seed", str(seed), "--t", "8")
+    scenario = PriceScenario(A=tuple(WORKED_EXAMPLE["A"]), B=tuple(WORKED_EXAMPLE["B"]),
+                             epsilon=WORKED_EXAMPLE["epsilon"])
+    transcript = run_with_adversary(scenario, *adversary.split(":"), CountingParams(t=8),
+                                    master_seed=seed)
+    assert code == 0
+    assert out == transcript.to_json() + "\n"
 
 
 def test_run_rejects_bad_adversary_argument(scenario_file, capsys):

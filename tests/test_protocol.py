@@ -101,10 +101,11 @@ def test_transcript_timings_recorded(worked_example, monkeypatch):
 
 def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
     # Step 1 builds each announcer's price oracle, Steps 2-3 each receiver's
-    # price oracle; Step 4 builds none.  The flag oracle of each announcer is
-    # built once per register shape, and no gate is built to load prices.
+    # price oracle; Step 4 builds none.  The flag oracle (the comparator) of
+    # each announcer is built once per register shape, and no gate is built
+    # to load prices.
     calls = Counter()
-    for name in ("build_price_oracle", "build_flag_oracle"):
+    for name in ("build_price_oracle", "build_comparator"):
         def counted(*args, _name=name, _build=getattr(circuits, name), **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -121,7 +122,7 @@ def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
     circuits.flag_oracle.cache_clear()
     try:
         run_negotiation(worked_example, PARAMS, master_seed=1)
-        assert calls["build_price_oracle"] == 4 and calls["build_flag_oracle"] == 2
+        assert calls["build_price_oracle"] == 4 and calls["build_comparator"] == 2
         calls.clear()
         run_negotiation(worked_example, PARAMS, master_seed=2)
         assert calls == {"build_price_oracle": 4}  # and no Gate

@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import apply_gate, dense_gate_matrix, dense_state, extend_with_zeros
+from helpers import (
+    apply_gate,
+    dense_gate_matrix,
+    dense_state,
+    extend_with_zeros,
+    measure,
+    prepare_amplitudes,
+)
 from q3pen.statevec import (
     Gate,
     RegisterLayout,
     Segment,
     StateVector,
     inner_product,
-    measure,
-    prepare_amplitudes,
     prepare_basis,
     von_neumann_entropy,
 )
@@ -65,13 +70,13 @@ def test_prepare_amplitudes_renormalizes():
 
 
 def test_not_gate_flips_qubit():
-    s = apply_gate(prepare_basis(1, 0), Gate.x(0))
+    s = apply_gate(prepare_basis(1, 0), Gate(0))
     assert np.allclose(s.amplitudes, [0, 1])
 
 
 def test_toffoli_truth_table():
     # |110> = 6 with controls on qubits 1 and 2 flips qubit 0 -> |111>
-    tof = Gate.x(0, controls=[(1, 1), (2, 1)])
+    tof = Gate(0, controls=[(1, 1), (2, 1)])
     s = apply_gate(prepare_basis(3, 6), tof)
     assert np.allclose(s.amplitudes, np.eye(8)[7])
     # control not satisfied: |010> stays put
@@ -81,7 +86,7 @@ def test_toffoli_truth_table():
 
 def test_negative_control_not_is_self_inverse():
     # independent check by direct matrix multiplication
-    gate = Gate.x(1, controls=[(0, 0)])
+    gate = Gate(1, controls=[(0, 0)])
     mat = dense_gate_matrix(gate, 2)
     assert np.max(np.abs(mat @ mat - np.eye(4))) < 1e-12
 
@@ -100,7 +105,7 @@ def test_gate_application_matches_dense_matrix(seed):
     qubits = list(rng.permutation(q))
     target = qubits[0]
     controls = [(qubits[1], int(rng.integers(2))), (qubits[2], int(rng.integers(2)))]
-    gate = Gate.x(target, controls)
+    gate = Gate(target, controls)
     expected = dense_gate_matrix(gate, q) @ state.amplitudes
     got = apply_gate(state, gate).amplitudes
     assert np.max(np.abs(got - expected)) < 1e-12
@@ -108,20 +113,20 @@ def test_gate_application_matches_dense_matrix(seed):
 
 def test_gate_rejects_overlapping_indices():
     with pytest.raises(ValueError):
-        Gate.x(0, controls=[(0, 1)])
+        Gate(0, controls=[(0, 1)])
 
 
 def test_gate_rejects_negative_qubits_and_bad_polarities():
     for target, controls in [(-1, ()), (0, [(-2, 1)]), (0, [-2]), (0, [(1, 2)]), (0, [(1, -1)])]:
         with pytest.raises(ValueError):
-            Gate.x(target, controls)
+            Gate(target, controls)
 
 
 def test_gate_mask_and_value_follow_controls():
-    gate = Gate.x(2, [(0, 1), 3, (4, 0)])
+    gate = Gate(2, [(0, 1), 3, (4, 0)])
     assert gate.controls == ((0, 1), (3, 1), (4, 0))
     assert (gate.mask, gate.value) == (0b11001, 0b01001)
-    assert (Gate.x(5).mask, Gate.x(5).value) == (0, 0)
+    assert (Gate(5).mask, Gate(5).value) == (0, 0)
     # the fields are read-only, and the mask and value cannot be given
     with pytest.raises(AttributeError):
         gate.mask = 0
@@ -131,7 +136,7 @@ def test_gate_mask_and_value_follow_controls():
 
 def test_apply_gate_rejects_out_of_range_target():
     with pytest.raises(ValueError):
-        apply_gate(prepare_basis(2, 0), Gate.x(5))
+        apply_gate(prepare_basis(2, 0), Gate(5))
 
 
 def test_norm_preserved_over_random_circuits():
@@ -142,7 +147,7 @@ def test_norm_preserved_over_random_circuits():
         target = int(rng.integers(q))
         others = [x for x in range(q) if x != target]
         ctrl = [(int(rng.choice(others)), int(rng.integers(2)))]
-        state = apply_gate(state, Gate.x(target, ctrl))
+        state = apply_gate(state, Gate(target, ctrl))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
@@ -154,7 +159,7 @@ def test_unitarity_round_trip():
         target = int(rng.integers(q))
         others = [x for x in range(q) if x != target]
         ctrl = [(int(rng.choice(others)), int(rng.integers(2)))]
-        gates.append(Gate.x(target, ctrl))
+        gates.append(Gate(target, ctrl))
     state = prepare_amplitudes(q, rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q))
     out = state
     for g in gates:
