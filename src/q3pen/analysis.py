@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import PriceScenario
+from .circuits import PriceScenario, prepare_announced_state
 from .commitment import cheat_detection_probability
 from .statevec import CapacityError, von_neumann_entropy
 
@@ -121,12 +121,13 @@ class EnsembleSpec:
 
 
 def build_price_ensemble(scenario: PriceScenario, owner: str = "alice") -> EnsembleSpec:
-    """Ensemble {1/N, |i>|price_i><price_i|<i|} of the announced state."""
-    indices = tuple(i | (p << scenario.n) for i, p in enumerate(scenario.prices(owner), start=1))
+    """Ensemble {1/N, |i>|price_i><price_i|<i|} of the announced state: one
+    member per basis index of its Step-1 support."""
+    state = prepare_announced_state(scenario, owner)
     return EnsembleSpec(
         probabilities=(1.0 / scenario.N,) * scenario.N,
-        basis_indices=indices,
-        num_qubits=scenario.n + scenario.d,
+        basis_indices=tuple(state.indices.tolist()),
+        num_qubits=state.num_qubits,
     )
 
 

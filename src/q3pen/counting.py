@@ -32,17 +32,17 @@ Steps 2-3, and without one ``honest_held_state`` runs those same steps
 (``circuits.prepare_announced_state``, ``load_received_state`` and
 ``write_comparison_flag``) honestly.  Either way the flag bits are read
 from the flag oracle's gate-level images, not from the classical
-comparison.  The joint state over the counting
-register is expanded into rows ``Q^k |psi>``, filled by doubling
-(``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after each step, t
-products in all), and the inverse quantum Fourier transform is applied as
-an FFT along the counting axis, which is arithmetically identical to the
-gate-level circuit.  The rows are real, so outcomes ``omega`` and
-``2**t - omega`` have equal mass, and a real-input FFT computes each pair
-once.  A count costs O(N + 2**t); ``MAX_T`` bounds t, checked when
-``CountingParams`` is built and again by the distribution.  The
-held state must be ``A|0...0>``: a collapsed state is not, and counting one
-would need the reflection about the honest state.
+comparison.  In that plane ``Q`` is a rotation by ``pi - 2*theta``, and the
+real ``psi`` has weight 1/2 on each of its two eigenvectors, so the
+outcome law is two half Fejer kernels, ``F(omega - x)/2 + F(omega + x)/2``
+with ``x = 2**t (pi - 2*theta) / (2*pi)`` and
+``F(delta) = sin^2(pi delta) / (2**t sin(pi delta / 2**t))^2`` (Cleve,
+Ekert, Macchiavello and Mosca, "Quantum algorithms revisited", Proc. R.
+Soc. A 454, 1998): exactly the measurement distribution of the gate-level
+circuit, in closed form.  A count costs O(N + 2**t); ``MAX_T`` bounds t,
+checked when ``CountingParams`` is built and again by the distribution.
+The held state must be ``A|0...0>``: a collapsed state is not, and counting
+one would need the reflection about the honest state.
 
 ``StatePreparation`` runs ``A`` on the full ``2**work``-amplitude register,
 with ``A = P . (W (x) I)``: a Householder reflection ``W`` on the index
@@ -62,17 +62,17 @@ from . import circuits
 from .circuits import OTHER, REGISTER, PriceScenario
 from .statevec import ATOL_INPUT, CapacityError, StateVector, SupportState, sample_outcomes
 
-# The largest phase register counted: the distribution's rounding grows with
-# 2**t; its worst |sum - 1| over 80 random M <= N < 10**5 is 6.0e-10 at
-# t = 21, and at t = 22 it exceeds the 1e-9 the sum is checked to.
+# The largest phase register counted: the distribution and the CDF its
+# shots are drawn through are two 2**t float64 arrays (16 << t bytes, 32 MiB
+# at t = 21); drawing each shot from the closed form would need neither.
 MAX_T = 21
 
 
 def _check_t(t: int) -> None:
     """Raise ``CapacityError`` for ``t > MAX_T``, before anything is allocated."""
     if t > MAX_T:
-        raise CapacityError(f"t = {t} needs a {1 << t} x 2 real rows array ({16 << t} bytes); "
-                            f"the limit is t = {MAX_T}")
+        raise CapacityError(f"t = {t} needs a {1 << t}-outcome distribution and its CDF "
+                            f"({16 << t} bytes); the limit is t = {MAX_T}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,7 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
 
     Works in the plane of the flagged and unflagged parts of ``held`` (the
     honest state of ``honest_held_state`` when omitted), which ``Q`` never
-    leaves; row k of the joint state holds ``Q^k psi`` in that plane.  The
-    squared row norms after the inverse Fourier transform are exactly the
+    leaves, and returns the closed-form law of the module docstring: the
     measurement distribution of the gate-level circuit on the full
     register.  ``t > MAX_T`` raises ``CapacityError`` before anything is
     allocated; a held state whose norm is not 1 raises ``ValueError``.
@@ -247,31 +246,25 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
         held = honest_held_state(scenario, announced_by)
     flagged = circuits.comparison_layout(scenario, announced_by)["flag"].value(held.indices) == 1
     amps = held.amplitudes
-    psi = np.array([np.linalg.norm(amps[flagged]), np.linalg.norm(amps[~flagged])])
-    norm = float(np.linalg.norm(psi))
+    marked, unmarked = np.linalg.norm(amps[flagged]), np.linalg.norm(amps[~flagged])
+    norm = math.hypot(marked, unmarked)
     if abs(norm - 1.0) > ATOL_INPUT:
         raise ValueError(f"held state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
-    psi /= norm  # Q^(2^t) multiplies a norm error by 2^t
-    q = (np.eye(2) - 2.0 * np.outer(psi, psi)) * [-1.0, 1.0]  # (I - 2 psi psi^T) . S_f
-    # rows hold Q^k psi as row vectors, so they multiply by Q transposed
-    power = q.T
-    rows = np.empty((1 << t, 2))
-    rows[0] = psi
-    for k in range(t):
-        m = 1 << k
-        rows[m : 2 * m] = rows[:m] @ power  # rows m..2m-1 from rows 0..m-1
-        power = power @ power
-    # inverse QFT on the counting register, for omega = 0 .. 2**(t-1)
-    half = np.fft.rfft(rows, axis=0, norm="forward").view(np.float64)  # (re, im) x 2 per row
-    h = len(half) - 1  # 2**(t-1)
-    probs = np.empty(1 << t)
-    probs[: h + 1] = np.einsum("ij,ij->i", half, half)
-    probs[h + 1 :] = probs[h - 1 : 0 : -1]  # p[omega] = p[2**t - omega]
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"phase distribution sums to {total}, not 1")
-    probs /= total
-    return probs
+    size, half = 1 << t, 1 << (t - 1)
+    # Q turns the plane by pi - 2 theta, tan(theta) = ||flagged|| / ||unflagged||;
+    # x is that angle in outcome units, r the outcome nearest to it
+    x = size * (0.5 - math.atan2(marked, unmarked) / math.pi)
+    r = round(x)
+    f = x - r  # exact, and sin^2(pi (omega - x)) = sin^2(pi f) for every omega
+    # the Fejer kernel about x at omega = r + k, -half <= k < half (it has period
+    # 2**t): folded, sin's argument stays off +/-pi, where its rounding grows with 2**t
+    k = np.arange(-half, half)
+    if f == 0.0:  # x on the grid (M = 0, N/2 or N): a point mass, not 0/0
+        kernel = (k == 0).astype(np.float64)
+    else:
+        kernel = math.sin(math.pi * f) ** 2 / (size * np.sin(np.pi * (k - f) / size)) ** 2
+    # the kernel about -x is the same array read at -omega
+    return 0.5 * (np.roll(kernel, r - half) + np.roll(kernel[::-1], half - r + 1))
 
 
 def quantum_count(scenario: PriceScenario, params: CountingParams = CountingParams(),

@@ -12,9 +12,12 @@ which ``Circuit.images`` uses), and ``GroverIterate`` runs the counting
 iterate on the full ``2**work``-amplitude register.  ``reference_price_gates``
 builds, from a price list, the NOT list a price oracle stands for (the
 package compiles the list to a table and never builds these gates).
-``dense_state`` expands a state given as its support into the full
-register, ``prepare_amplitudes`` builds a dense state from any amplitudes,
-and ``measure`` measures one segment of a dense state.  The package's fast
+``plane_fft_distribution`` gives the phase-register law from the rows
+``Q^k psi`` in the plane of the held state's flagged and unflagged parts,
+filled by doubling and transformed by a real-input FFT (the package computes
+the law in closed form).  ``dense_state`` expands a state given as its
+support into the full register, ``prepare_amplitudes`` builds a dense state
+from any amplitudes, and ``measure`` measures one segment of a dense state.  The package's fast
 paths are tested against them.
 """
 
@@ -222,3 +225,35 @@ class GroverIterate:
         if state.num_qubits != self.num_qubits:
             raise ValueError("state size does not match the iterate")
         return StateVector(self.num_qubits, self.apply_to_array(state.amplitudes.copy()))
+
+
+def plane_fft_distribution(marked_weight: float, t: int) -> np.ndarray:
+    """Phase-register outcome probabilities from the joint state's rows.
+
+    ``marked_weight`` is the squared norm of the held state's flagged part
+    (M/N for the honest state).  In the plane of its flagged and unflagged
+    parts the held state is ``psi = [sqrt(marked_weight), sqrt(1 -
+    marked_weight)]`` and the iterate is the 2 x 2 matrix
+    ``Q = (I - 2 psi psi^T) . diag(-1, 1)``.  Row k holds ``Q^k psi``, filled
+    by doubling (``rows[m:2m] = rows[:m] . Q^m`` with ``Q^m`` squared after
+    each step); the inverse QFT on the counting register is an FFT along the
+    rows.  The rows are real, so outcomes ``omega`` and ``2**t - omega`` have
+    equal mass, and a real-input FFT computes each pair once.
+    """
+    psi = np.sqrt([marked_weight, 1.0 - marked_weight])
+    q = (np.eye(2) - 2.0 * np.outer(psi, psi)) * [-1.0, 1.0]
+    # rows hold Q^k psi as row vectors, so they multiply by Q transposed
+    power = q.T
+    rows = np.empty((1 << t, 2))
+    rows[0] = psi
+    for k in range(t):
+        m = 1 << k
+        rows[m : 2 * m] = rows[:m] @ power  # rows m..2m-1 from rows 0..m-1
+        power = power @ power
+    # omega = 0 .. 2**(t-1), then the mirror
+    half = np.fft.rfft(rows, axis=0, norm="forward").view(np.float64)  # (re, im) x 2 per row
+    h = len(half) - 1  # 2**(t-1)
+    probs = np.empty(1 << t)
+    probs[: h + 1] = np.einsum("ij,ij->i", half, half)
+    probs[h + 1 :] = probs[h - 1 : 0 : -1]  # p[omega] = p[2**t - omega]
+    return probs / probs.sum()

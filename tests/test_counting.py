@@ -1,13 +1,12 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_scenario
-from helpers import GroverIterate
+from helpers import GroverIterate, plane_fft_distribution
 from q3pen.circuits import PriceScenario, brute_force_count, comparison_layout
 from q3pen.counting import (
     MAX_T,
@@ -224,7 +223,7 @@ def test_capacity_guard(worked_example):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # refused before the 64 MiB rows array is allocated
+    assert peak < 1 << 20  # refused before the 64 MiB distribution and CDF are allocated
 
 
 def test_held_state_norm_is_checked(worked_example):
@@ -266,19 +265,37 @@ def test_honest_distribution_is_the_fejer_closed_form(N, d, seed, t, announced_b
        st.sampled_from(["alice", "bob"]))
 @example(6, 3, 0, 1, "alice")
 @example(6, 3, 0, 2, "bob")
-def test_real_fft_distribution_matches_the_complex_fft(N, d, seed, t, announced_by):
-    # the distribution transforms its real rows with rfft and mirrors the
-    # upper half; the complex FFT of the same rows gives every omega directly
+@example(6, 3, 0, MAX_T, "alice")
+def test_closed_form_matches_the_plane_fft_reference(N, d, seed, t, announced_by):
+    # the rows Q^k psi, transformed along the counting axis, are the joint
+    # state of the phase register; the closed form must give their law
     rng = np.random.default_rng(seed)
     A, B = (tuple(int(p) for p in rng.integers(0, 1 << d, size=N)) for _ in range(2))
     sc = PriceScenario(A=A, B=B, epsilon=1)
-    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
-        probs = phase_register_distribution(sc, t, announced_by)
-    rows = rfft.call_args.args[0]
-    assert rows.shape == (1 << t, 2) and rows.dtype == np.float64
-    full = np.fft.fft(rows, axis=0, norm="forward")
-    expected = np.einsum("ij,ij->i", full, full.conj()).real
-    assert np.max(np.abs(probs - expected / expected.sum())) < 1e-15
+    reference = plane_fft_distribution(brute_force_count(sc) / N, t)
+    probs = phase_register_distribution(sc, t, announced_by)
+    assert np.max(np.abs(probs - reference)) < 1e-9
+
+
+@pytest.mark.parametrize("t", [1, 2, 6])
+@pytest.mark.parametrize("A, B, turn", [((0, 0), (1, 1), 0.5),   # M = 0
+                                        ((3, 3), (1, 2), 0.0),   # M = N
+                                        ((3, 0), (1, 1), 0.25)])  # M = N / 2
+def test_degenerate_phases_are_exact(A, B, turn, t):
+    # the eigenphases are +/- turn * 2 pi; on the outcome grid each is a
+    # point mass of 1/2, with no rounding left over anywhere
+    sc = PriceScenario(A=A, B=B, epsilon=1)
+    size = 1 << t
+    probs = phase_register_distribution(sc, t)
+    peaks = [turn * size, -turn * size]
+    if all(p.is_integer() for p in peaks):
+        expected = np.bincount([int(p) % size for p in peaks], minlength=size) / 2
+        assert np.array_equal(probs, expected)
+    else:  # a quarter turn at t = 1 lies halfway between the two outcomes
+        assert np.max(np.abs(probs - 0.5)) < 1e-15
+    assert abs(probs.sum() - 1.0) < 1e-15
+    reference = plane_fft_distribution(brute_force_count(sc) / sc.N, t)
+    assert np.max(np.abs(probs - reference)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

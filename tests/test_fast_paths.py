@@ -12,9 +12,9 @@
 * Steps 2-3 run on the support of the received state hold exactly the
   nonzero amplitudes of the dense register those steps used to build gate
   by gate, also after a measured announcement;
-* the phase-register distribution, computed in the plane of the held
-  state's flagged and unflagged parts that the iterate never leaves,
-  equals a dense all-column FFT over full-register rows built gate by
+* the phase-register distribution, computed in closed form in the plane of
+  the held state's flagged and unflagged parts that the iterate never
+  leaves, equals a dense all-column FFT over full-register rows built gate by
   gate.  The honest held state it counts by default is Steps 1-3 run by
   the protocol's own functions, which the previous property checks.
 """
@@ -244,6 +244,6 @@ def dense_reference_distribution(scenario, t, announced_by):
 def test_support_distribution_matches_dense_fft(scenario, t, announced_by):
     fast = phase_register_distribution(scenario, t, announced_by)
     dense = dense_reference_distribution(scenario, t, announced_by)
-    # the reduced rows are the full rows' nonzero columns, computed by
-    # doubling instead of one iterate at a time: they agree to rounding
+    # the closed form is the law of the full rows, one iterate at a time,
+    # after the FFT: they agree to rounding
     assert np.max(np.abs(fast - dense)) < 1e-12
