@@ -14,10 +14,12 @@ Two builders cover the quantum side of the price comparison:
 Every oracle is a permutation of basis states, and ``images`` returns where
 each of an array of basis indices lands.  A price oracle is compiled to a
 table ``T`` of ``2**n`` entries, ``T[i] = price_i`` for i = 1..N and 0
-elsewhere, so its images are one gather, ``x ^ (T[index(x)] << offset)``,
-and it is its own inverse.  It stands for one NOT per set price bit,
-controlled on the product's index; ``len`` counts those gates, and nothing
-in the package builds them (the tests hold the gate list).  The comparator
+elsewhere (``price_table``; a ``PriceScenario`` compiles each role's list
+once, when it is built, and Steps 1-3 wrap that table), so its images are
+one gather, ``x ^ (T[index(x)] << offset)``, and it is its own inverse.
+It stands for one NOT per set price bit, controlled on the product's index;
+``len`` counts those gates, and nothing in the package builds them (the
+tests hold the gate list).  The comparator
 is a ``Circuit``: NOT gates with mixed-polarity controls, inverted by
 reversing the gate list, whose ``images`` run the gates in order (per gate,
 one compare against the control mask and value the gate computed when it
@@ -70,7 +72,9 @@ class PriceScenario:
     ``n`` and ``d`` are the derived register widths, computed once: n
     indexes the N products (values 1..N, so n = ceil(log2(N+1))) and d
     holds the largest price.  Prices are non-negative integers in arbitrary
-    currency units.
+    currency units.  Each role's price list is compiled once, here, to its
+    read-only table (``tables[role]``, see ``price_table``); Steps 1-3 and
+    ``counting.comparison_oracles`` wrap it in a ``PriceOracle``.
     """
 
     A: tuple[int, ...]
@@ -78,22 +82,39 @@ class PriceScenario:
     epsilon: int
     n: int = field(init=False, repr=False, compare=False)
     d: int = field(init=False, repr=False, compare=False)
+    tables: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = tuple(as_int(a, "price") for a in self.A)
-        B = tuple(as_int(b, "price") for b in self.B)
+        A, B = tuple(self.A), tuple(self.B)
+        # one pass over the element types; only a bad one walks the prices
+        # again, to name the first offender as ``as_int`` does
+        kinds = set(map(type, A + B))
+        if any(issubclass(kind, bool) or not issubclass(kind, numbers.Integral) for kind in kinds):
+            for price in A + B:
+                as_int(price, "price")
+        if kinds != {int}:  # numpy integers, say: stored as ints
+            A, B = tuple(map(int, A)), tuple(map(int, B))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "epsilon", as_int(self.epsilon, "threshold"))
         if len(A) == 0 or len(A) != len(B):
             raise ValueError(f"price lists must be equal-length and non-empty: {len(A)} vs {len(B)}")
-        if any(p < 0 for p in A + B):
+        try:
+            prices = np.array((A, B), dtype=np.intp)
+        except OverflowError:
+            # a price of 64 bits or more: no basis index holds it, so Step 1's
+            # layout refuses the scenario (CapacityError) before a table is read
+            prices = np.array((A, B), dtype=object)
+        if prices.min() < 0:
             raise ValueError("prices must be non-negative")
         if not 1 <= self.epsilon <= len(A):
             raise ValueError(f"threshold {self.epsilon} outside 1..{len(A)}")
-        object.__setattr__(self, "n", len(A).bit_length())  # ceil(log2(N+1)) for N >= 1
+        n = len(A).bit_length()  # ceil(log2(N+1)) for N >= 1
+        object.__setattr__(self, "n", n)
         # width of the widest price; at least 1 so a price register exists
-        object.__setattr__(self, "d", max(1, max(A + B).bit_length()))
+        object.__setattr__(self, "d", max(1, int(prices.max()).bit_length()))
+        object.__setattr__(self, "tables", {"alice": price_table(prices[0], n),
+                                            "bob": price_table(prices[1], n)})
 
     @property
     def N(self) -> int:
@@ -102,6 +123,15 @@ class PriceScenario:
     def prices(self, role: str) -> tuple[int, ...]:
         """The price list of ``role``: A for "alice", B for "bob"."""
         return {"alice": self.A, "bob": self.B}[role]
+
+
+def price_table(prices: np.ndarray, n: int) -> np.ndarray:
+    """A price list compiled for an n-bit index register: ``2**n`` read-only
+    entries, price_i at i = 1..N (product i is index value i) and 0 elsewhere."""
+    table = np.zeros(1 << n, dtype=prices.dtype)
+    table[1 : len(prices) + 1] = prices
+    table.flags.writeable = False
+    return table
 
 
 def brute_force_count(scenario: PriceScenario) -> int:
@@ -159,6 +189,9 @@ class Circuit:
     layout: RegisterLayout
     ancilla: str | None = None
     name: str = ""
+    # each gate's control mask, control value and target bit as np.intp
+    # scalars, converted once: a Python int is converted in every ufunc call
+    passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -167,6 +200,8 @@ class Circuit:
             touched |= g.mask | 1 << g.target
         if touched >> self.layout.num_qubits:
             raise ValueError(f"gate touches qubit {touched.bit_length() - 1} outside layout ({self.layout})")
+        object.__setattr__(self, "passes", tuple(
+            (np.intp(g.mask), np.intp(g.value), np.intp(1 << g.target)) for g in self.gates))
 
     def __len__(self):
         return len(self.gates)
@@ -179,8 +214,8 @@ class Circuit:
     def images(self, indices) -> np.ndarray:
         """Basis index each input index is sent to, the gates run in order."""
         x = np.array(indices, dtype=np.intp)
-        for g in self.gates:
-            x ^= ((x & g.mask) == g.value).astype(np.intp) << g.target
+        for mask, value, bit in self.passes:
+            x ^= ((x & mask) == value) * bit
         return x
 
     def apply_to_array(self, amplitudes: np.ndarray) -> None:
@@ -241,6 +276,8 @@ def build_price_oracle(prices, layout: RegisterLayout, target: str) -> PriceOrac
 
     Product i (1-based) occupies index value i; the list is compiled, in
     O(N), to the oracle's table.  Index values 0 and > N are left untouched.
+    A scenario's lists are compiled once, when it is built, to
+    ``scenario.tables``; wrap those in a ``PriceOracle`` instead.
     """
     index = layout["index"]
     tgt = layout[target]
@@ -250,10 +287,7 @@ def build_price_oracle(prices, layout: RegisterLayout, target: str) -> PriceOrac
     for price in prices:
         if not 0 <= price < 1 << tgt.width:
             raise ValueError(f"price {price} is not a {tgt.width}-bit unsigned integer")
-    table = np.zeros(1 << index.width, dtype=np.intp)
-    table[1 : len(prices) + 1] = prices
-    table.flags.writeable = False
-    return PriceOracle(table, layout, target)
+    return PriceOracle(price_table(np.array(prices, dtype=np.intp), index.width), layout, target)
 
 
 def build_comparator(d: int, layout: RegisterLayout) -> Circuit:
@@ -319,7 +353,7 @@ def prepare_announced_state(scenario: PriceScenario, owner: str) -> SupportState
     indices ``i | price_i << n``, in ascending order, with amplitude
     ``1/sqrt(N)`` each."""
     layout = announcement_layout(scenario, owner)
-    oracle = build_price_oracle(scenario.prices(owner), layout, REGISTER[owner])
+    oracle = PriceOracle(scenario.tables[owner], layout, REGISTER[owner])
     indices = np.sort(oracle.images(np.arange(1, scenario.N + 1)))
     amplitudes = np.full(scenario.N, 1.0 / math.sqrt(scenario.N), dtype=np.complex128)
     return SupportState(layout.num_qubits, indices, amplitudes)
@@ -338,7 +372,7 @@ def load_received_state(scenario: PriceScenario, announced_by: str,
         raise ValueError(f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
     layout = comparison_layout(scenario, announced_by)
     receiver = OTHER[announced_by]
-    oracle = build_price_oracle(scenario.prices(receiver), layout, REGISTER[receiver])
+    oracle = PriceOracle(scenario.tables[receiver], layout, REGISTER[receiver])
     return SupportState(layout.num_qubits, oracle.images(state.indices), state.amplitudes)
 
 

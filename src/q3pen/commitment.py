@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import StateVector, inner_product
+from .statevec import StateVector
 
 PHASE_COMMITTED = "committed"
 PHASE_UNVEILED = "unveiled"
@@ -159,12 +160,17 @@ def parity_repetition_code(n: int) -> CodeParams:
 # commit / unveil / verify
 
 
+def _fingerprint_signs(value: int, code: CodeParams) -> np.ndarray:
+    """The signs ``(-1)**E(value)_j`` of the m codeword positions; |tau_value>
+    carries them over sqrt(m), and zero on the padded positions."""
+    return 1.0 - 2.0 * code.encode(value)
+
+
 def fingerprint_state(value: int, code: CodeParams) -> StateVector:
     """The phase-fingerprint state |tau_value> for this code."""
-    enc = code.encode(value)
     q = code.num_fingerprint_qubits
     amps = np.zeros(1 << q, dtype=np.complex128)
-    amps[: code.m] = (1.0 - 2.0 * enc.astype(np.float64)) / math.sqrt(code.m)
+    amps[: code.m] = _fingerprint_signs(value, code) / math.sqrt(code.m)
     return StateVector(q, amps)
 
 
@@ -191,10 +197,15 @@ def commit(value: int, code: CodeParams) -> CommitmentRecord:
 def accept_probability(record: CommitmentRecord, unveiled: int) -> float:
     """Probability that projecting onto |tau_unveiled> yields eigenvalue 1.
 
+    The overlap ``<tau_unveiled|held>`` is the held fingerprint's first m
+    amplitudes summed with the signs ``(-1)**E(unveiled)_j`` of the unveiled
+    codeword, over sqrt(m); no state is built for the unveiled value.
     Probabilities within 1e-9 of 0 or 1 snap exactly (honest unveils accept
     with probability exactly 1, orthogonal fingerprints never).
     """
-    overlap = inner_product(fingerprint_state(unveiled, record.code), record.fingerprint)
+    code = record.code
+    held = record.fingerprint.amplitudes[: code.m]
+    overlap = np.dot(_fingerprint_signs(unveiled, code), held) / math.sqrt(code.m)
     p = min(1.0, max(0.0, abs(overlap) ** 2))
     if p > 1.0 - 1e-9:
         return 1.0
@@ -208,13 +219,18 @@ def verify(record: CommitmentRecord, unveiled: int, rng=0) -> bool:
 
     Mutates the record's phase; a record can be unveiled and verified only
     once.  ``rng`` is an integer seed or numpy Generator driving the
-    measurement outcome.
+    measurement outcome.  A Generator always advances by one draw; a seed
+    builds no generator when the probability is exactly 0 or 1, since a
+    uniform draw in [0, 1) cannot change a certain outcome.
     """
     if record.phase != PHASE_COMMITTED:
         raise RuntimeError(f"record already {record.phase}; cannot unveil twice")
     record.phase = PHASE_UNVEILED
     p = accept_probability(record, unveiled)
-    accepted = bool(np.random.default_rng(rng).random() < p)  # a Generator is used as it is
+    if p in (0.0, 1.0) and isinstance(rng, numbers.Integral) and rng >= 0:
+        accepted = p == 1.0
+    else:
+        accepted = bool(np.random.default_rng(rng).random() < p)  # a Generator is used as it is
     record.phase = PHASE_ACCEPT if accepted else PHASE_REJECT
     return accepted
 

@@ -175,7 +175,7 @@ def comparison_oracles(scenario: PriceScenario, announced_by: str) -> tuple:
     """The announcer's price oracle, the receiver's, then the flag oracle,
     on the comparison layout of the state ``announced_by`` sends."""
     layout = circuits.comparison_layout(scenario, announced_by)
-    oracles = [circuits.build_price_oracle(scenario.prices(role), layout, REGISTER[role])
+    oracles = [circuits.PriceOracle(scenario.tables[role], layout, REGISTER[role])
                for role in (announced_by, OTHER[announced_by])]
     return (*oracles, circuits.flag_oracle(scenario.n, scenario.d, announced_by))
 
@@ -257,14 +257,32 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
     r = round(x)
     f = x - r  # exact, and sin^2(pi (omega - x)) = sin^2(pi f) for every omega
     # the Fejer kernel about x at omega = r + k, -half <= k < half (it has period
-    # 2**t): folded, sin's argument stays off +/-pi, where its rounding grows with 2**t
-    k = np.arange(-half, half)
+    # 2**t): folded, sin's argument stays off +/-pi, where its rounding grows with 2**t.
+    # It is built in place, sin^2(pi f) / (2**t sin(pi (k - f) / 2**t))^2 one
+    # operation at a time, so a count holds two 2**t arrays at most: the
+    # kernel and the law, then the law and its CDF
+    kernel = np.arange(-half, half, dtype=np.float64)
     if f == 0.0:  # x on the grid (M = 0, N/2 or N): a point mass, not 0/0
-        kernel = (k == 0).astype(np.float64)
+        kernel.fill(0.0)
+        kernel[half] = 1.0
     else:
-        kernel = math.sin(math.pi * f) ** 2 / (size * np.sin(np.pi * (k - f) / size)) ** 2
-    # the kernel about -x is the same array read at -omega
-    return 0.5 * (np.roll(kernel, r - half) + np.roll(kernel[::-1], half - r + 1))
+        kernel -= f
+        kernel *= np.pi
+        kernel /= size
+        np.sin(kernel, out=kernel)
+        kernel *= size
+        np.square(kernel, out=kernel)
+        np.divide(math.sin(math.pi * f) ** 2, kernel, out=kernel)
+    # half the kernel rolled to x (index half to r), plus half the kernel
+    # about -x, which is the same array read at -omega (reversed, then rolled)
+    law = np.empty(size)
+    shift = (r - half) % size
+    law[shift:], law[:shift] = kernel[: size - shift], kernel[size - shift :]
+    mirror, shift = kernel[::-1], (half - r + 1) % size
+    law[shift:] += mirror[: size - shift]
+    law[:shift] += mirror[size - shift :]
+    law *= 0.5
+    return law
 
 
 def quantum_count(scenario: PriceScenario, params: CountingParams = CountingParams(),
@@ -282,7 +300,7 @@ def quantum_count(scenario: PriceScenario, params: CountingParams = CountingPara
     """
     probs = phase_register_distribution(scenario, params.t, announced_by, held)
     uniforms = np.random.default_rng(params.rng_seed).random(params.shots)
-    outcomes = tuple(int(w) for w in sample_outcomes(probs, uniforms))
+    outcomes = tuple(sample_outcomes(probs, uniforms).tolist())
     thetas = sorted(outcome_to_theta(w, params.t) for w in outcomes)
     mid = params.shots // 2
     theta_hat = thetas[mid] if params.shots % 2 else (thetas[mid - 1] + thetas[mid]) / 2

@@ -257,7 +257,9 @@ def _run(scenario, params, code, master_seed, cheater=None,
     """One negotiation; ``cheater`` is the scripted role, if any, and
     ``behavior`` its script."""
     seeds = negotiation_seeds(master_seed)
-    adversary_rng = np.random.default_rng(seeds["adversary"])
+    # only a measuring cheater draws: its measurement outcome and its guess
+    adversary_rng = (np.random.default_rng(seeds["adversary"])
+                     if behavior == BEHAVIOR_MEASURE else None)
     if code is None:
         code = commitment.make_random_code(scenario.n, c=2.0, seed=seeds["code"])
 
@@ -360,10 +362,10 @@ def _run(scenario, params, code, master_seed, cheater=None,
 
     verifications = {
         # verifier "bob" checks the record alice committed, against her unveil
-        "bob_accepts_alice": commitment.verify(
-            records["alice"], unveiled["alice"], np.random.default_rng(seeds["verify_bob"])),
-        "alice_accepts_bob": commitment.verify(
-            records["bob"], unveiled["bob"], np.random.default_rng(seeds["verify_alice"])),
+        "bob_accepts_alice": commitment.verify(records["alice"], unveiled["alice"],
+                                               seeds["verify_bob"]),
+        "alice_accepts_bob": commitment.verify(records["bob"], unveiled["bob"],
+                                               seeds["verify_alice"]),
     }
     transcript.verifications = verifications
 

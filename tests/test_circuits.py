@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_scenario
 from helpers import ancillas_clean, basis_component, dense_circuit_matrix, prepare_amplitudes
 from q3pen.circuits import (
+    OTHER,
+    REGISTER,
     PriceScenario,
     announcement_layout,
+    as_int,
     brute_force_count,
     build_comparator,
     build_price_oracle,
     classical_f,
     comparison_layout,
     flag_oracle,
+    prepare_announced_state,
 )
-from q3pen.statevec import prepare_basis
+from q3pen.counting import comparison_oracles
+from q3pen.statevec import CapacityError, prepare_basis
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +55,87 @@ def test_scenario_rejects_negative_prices():
 def test_zero_prices_still_get_a_register():
     sc = PriceScenario(A=(0, 0), B=(0, 0), epsilon=1)
     assert sc.d == 1
+
+
+def elementwise_scenario(A, B, epsilon):
+    """``(A, B, epsilon, n, d)`` of a scenario, checked one price at a time in
+    the order ``PriceScenario`` checks them; raises the error it must raise."""
+    A = tuple(as_int(a, "price") for a in A)
+    B = tuple(as_int(b, "price") for b in B)
+    epsilon = as_int(epsilon, "threshold")
+    if len(A) == 0 or len(A) != len(B):
+        raise ValueError(f"price lists must be equal-length and non-empty: {len(A)} vs {len(B)}")
+    if any(p < 0 for p in A + B):
+        raise ValueError("prices must be non-negative")
+    if not 1 <= epsilon <= len(A):
+        raise ValueError(f"threshold {epsilon} outside 1..{len(A)}")
+    return A, B, epsilon, len(A).bit_length(), max(1, max(A + B).bit_length())
+
+
+PRICES = st.one_of(st.integers(0, 15), st.integers(-2**70, 2**70),
+                   st.integers(0, 2**20).map(np.int64), st.integers(0, 255).map(np.uint8))
+NON_INTEGERS = st.one_of(st.booleans(), st.just(np.bool_(True)), st.floats(0, 9), st.just("3"))
+
+
+@st.composite
+def scenario_arguments(draw):
+    """Price lists and a threshold, mostly valid: a list may be one longer, and
+    up to two non-integers may be slipped into the lists."""
+    N = draw(st.integers(0, 5))
+    A = draw(st.lists(PRICES, min_size=N, max_size=N))
+    B = draw(st.lists(PRICES, min_size=N + draw(st.sampled_from((0, 0, 0, 1))),
+                      max_size=N + 1))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        prices = draw(st.sampled_from((A, B)))
+        prices.insert(draw(st.integers(0, len(prices))), draw(NON_INTEGERS))
+    epsilon = draw(st.one_of(st.integers(1, 6), st.sampled_from((0, -1, True, 2.0))))
+    return A, B, epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_arguments())
+def test_scenario_checks_match_the_elementwise_reference(arguments):
+    # one vectorised pass gives the message, and the check order, of checking
+    # one price at a time; numpy integers are accepted and stored as ints
+    A, B, epsilon = arguments
+    try:
+        expected = elementwise_scenario(A, B, epsilon)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            PriceScenario(A=tuple(A), B=tuple(B), epsilon=epsilon)
+        assert str(raised.value) == str(err)
+        return
+    sc = PriceScenario(A=tuple(A), B=tuple(B), epsilon=epsilon)
+    assert (sc.A, sc.B, sc.epsilon, sc.n, sc.d) == expected
+    assert all(type(p) is int for p in sc.A + sc.B)
+
+
+def test_scenario_compiles_each_price_list_once(worked_example):
+    tables = worked_example.tables
+    for role in ("alice", "bob"):
+        table = tables[role]
+        assert table.dtype == np.intp and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+        for layout in (announcement_layout(worked_example, role),
+                       comparison_layout(worked_example, role)):
+            oracle = build_price_oracle(worked_example.prices(role), layout, REGISTER[role])
+            assert np.array_equal(table, oracle.table)
+    # every oracle wraps the scenario's own arrays: nothing is copied or rebuilt
+    for _ in range(2):
+        for announced_by in ("alice", "bob"):
+            announcer, receiver, _ = comparison_oracles(worked_example, announced_by)
+            assert announcer.table is tables[announced_by]
+            assert receiver.table is tables[OTHER[announced_by]]
+
+
+def test_price_wider_than_a_basis_index_is_a_capacity_limit():
+    # a 71-bit price overflows no integer: the scenario holds it, and Step 1
+    # refuses the 2 + 71 qubits its announcement needs
+    sc = PriceScenario(A=(2**70, 1), B=(1, 1), epsilon=1)
+    assert sc.d == 71 and sc.A == (2**70, 1)
+    with pytest.raises(CapacityError, match="a 73-qubit layout does not fit"):
+        prepare_announced_state(sc, "alice")
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,16 @@ def test_run_64_qubit_layout_exit_code(tmp_path, capsys):
     assert "64-qubit layout" in err and "Traceback" not in err
 
 
+def test_run_price_too_wide_for_a_basis_index_exit_code(tmp_path, capsys):
+    # a 71-bit price: the announcement needs 2 + 71 qubits, which is refused
+    # as a capacity limit, before any price overflows a fixed-width integer
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"A": [2**70, 1], "B": [1, 1], "epsilon": 1}))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == ""
+    assert "a 73-qubit layout does not fit" in err and "Traceback" not in err
+
+
 def test_run_with_adversary_flag(scenario_file, capsys):
     code, out, _ = run_cli(capsys, "run", scenario_file,
                            "--adversary", "bob:measure-and-cheat", "--seed", "3")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from q3pen.commitment import (
     CodeParams,
@@ -160,6 +161,39 @@ def test_binding_bound_exhaustive():
                     continue
                 p = accept_probability(commit(x, code), y)
                 assert p <= bound + 1e-12
+
+
+def test_accept_probability_is_the_distance_law_exhaustively():
+    # (1 - 2 dist/m)**2 for every committed and unveiled value, n <= 4; c = 3
+    # leaves padded positions in the fingerprint register
+    for n in (1, 2, 3, 4):
+        codes = (make_random_code(n, seed=n), make_random_code(n, c=3.0, seed=n),
+                 parity_repetition_code(n))
+        for code in codes:
+            for x in range(1 << n):
+                record = commit(x, code)
+                for y in range(1 << n):
+                    dist = hamming(code.encode(x), code.encode(y))
+                    law = (1 - 2 * dist / code.m) ** 2
+                    assert accept_probability(record, y) == pytest.approx(law, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**16), st.integers(0, 31), st.integers(0, 31),
+       st.integers(0, 2**32 - 1))
+@example(n=3, code_seed=4, committed=2, unveiled=2, seed=9)   # p snapped to 1
+@example(n=2, code_seed=0, committed=0, unveiled=3, seed=9)   # p snapped to 0
+@example(n=3, code_seed=4, committed=0, unveiled=1, seed=9)   # p fractional
+def test_a_seed_and_its_generator_verify_alike(n, code_seed, committed, unveiled, seed):
+    code = make_random_code(n, seed=code_seed)
+    committed, unveiled = committed % (1 << n), unveiled % (1 << n)
+    by_seed = verify(commit(committed, code), unveiled, seed)
+    generator = np.random.default_rng(seed)
+    assert verify(commit(committed, code), unveiled, generator) == by_seed
+    # a Generator advances by exactly one draw, also when the outcome is certain
+    reference = np.random.default_rng(seed)
+    reference.random()
+    assert generator.bit_generator.state == reference.bit_generator.state
 
 
 def test_record_phase_moves_forward_only():

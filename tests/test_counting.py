@@ -226,6 +226,21 @@ def test_capacity_guard(worked_example):
     assert peak < 1 << 20  # refused before the 64 MiB distribution and CDF are allocated
 
 
+def test_a_count_holds_at_most_two_outcome_arrays(worked_example):
+    # the 16 << t bytes the CapacityError message counts: the kernel, built in
+    # place, and the law it is folded into; then the law and its CDF
+    t = 16
+    held = honest_held_state(worked_example)
+    quantum_count(worked_example, CountingParams(t=t), held=held)  # first-call imports
+    tracemalloc.start()
+    try:
+        quantum_count(worked_example, CountingParams(t=t), held=held)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 << t  # well short of a third 2**t float64 array
+
+
 def test_held_state_norm_is_checked(worked_example):
     held = honest_held_state(worked_example)
     scaled = held._replace(amplitudes=1.01 * held.amplitudes)

@@ -100,12 +100,12 @@ def test_transcript_timings_recorded(worked_example, monkeypatch):
 
 
 def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
-    # Step 1 builds each announcer's price oracle, Steps 2-3 each receiver's
-    # price oracle; Step 4 builds none.  The flag oracle (the comparator) of
-    # each announcer is built once per register shape, and no gate is built
-    # to load prices.
+    # A scenario compiles each role's price table once, when it is built, and
+    # no negotiation compiles a price list again: Steps 1-3 wrap the tables.
+    # The flag oracle (the comparator) of each announcer is built once per
+    # register shape, and no gate is built to load prices.
     calls = Counter()
-    for name in ("build_price_oracle", "build_comparator"):
+    for name in ("price_table", "build_price_oracle", "build_comparator"):
         def counted(*args, _name=name, _build=getattr(circuits, name), **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -121,11 +121,15 @@ def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
     monkeypatch.setattr(circuits, "Gate", CountedGate)
     circuits.flag_oracle.cache_clear()
     try:
-        run_negotiation(worked_example, PARAMS, master_seed=1)
-        assert calls["build_price_oracle"] == 4 and calls["build_comparator"] == 2
+        scenario = PriceScenario(A=worked_example.A, B=worked_example.B,
+                                 epsilon=worked_example.epsilon)
+        assert calls == {"price_table": 2}
         calls.clear()
-        run_negotiation(worked_example, PARAMS, master_seed=2)
-        assert calls == {"build_price_oracle": 4}  # and no Gate
+        run_negotiation(scenario, PARAMS, master_seed=1)
+        assert set(calls) == {"build_comparator", "Gate"} and calls["build_comparator"] == 2
+        calls.clear()
+        run_negotiation(scenario, PARAMS, master_seed=2)
+        assert calls == {}  # no table, no oracle, no Gate
     finally:
         circuits.flag_oracle.cache_clear()  # drop the oracles built from CountedGate
 
@@ -141,7 +145,7 @@ def test_collapsed_state_is_not_counted(worked_example, monkeypatch, cheater):
     monkeypatch.setattr(counting, "quantum_count", counted)
     calls = Counter()
     for module, name in ((protocol, "load_received_state"), (protocol, "write_comparison_flag"),
-                         (circuits, "build_price_oracle")):
+                         (circuits, "price_table"), (circuits, "build_price_oracle")):
         def called(*args, _name=name, _call=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
@@ -150,10 +154,9 @@ def test_collapsed_state_is_not_counted(worked_example, monkeypatch, cheater):
     # only the honest party counts: the state the cheater announced
     assert announcers == [cheater]
     assert tr.estimates[cheater].outcomes == ()
-    # nor does the collapsed state go through Steps 2-3: Step 1 builds both
-    # announcers' price oracles, Step 2 only the honest receiver's
-    assert calls == {"load_received_state": 1, "write_comparison_flag": 1,
-                     "build_price_oracle": 3}
+    # nor does the collapsed state go through Steps 2-3; no step compiles a
+    # price list, since the scenario holds both tables
+    assert calls == {"load_received_state": 1, "write_comparison_flag": 1}
 
 
 def test_negotiation_allocates_no_working_register():
