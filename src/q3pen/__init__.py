@@ -9,7 +9,6 @@ from .circuits import (
     PriceScenario,
     brute_force_count,
     build_comparator,
-    build_price_oracle,
     classical_f,
     comparison_layout,
 )

@@ -14,13 +14,12 @@ costs, and commitment cheat detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .circuits import PriceScenario, prepare_announced_state
-from .commitment import cheat_detection_probability
+from .commitment import cheat_detection_probability, check_expansion
 from .statevec import CapacityError, von_neumann_entropy
 
 DENSITY_MATRIX_QUBIT_LIMIT = 10  # entropy needs eigenvalues; keep it desk-sized
@@ -82,8 +81,7 @@ def cost_table_csv(n_values: Iterable[int], d: int, split_units: bool = False) -
 
 def detection_curve(c: float, n_values: Iterable[int]) -> list[tuple[int, float, float]]:
     """Rows (n, m, detection probability) for commitment length m = c*n."""
-    if c <= 1.0:
-        raise ValueError("expansion constant c must exceed 1")
+    check_expansion(c)
     rows = []
     for n in n_values:
         n = int(n)
@@ -105,51 +103,29 @@ def detection_curve_csv(c: float, n_values: Iterable[int]) -> str:
 # the leakage bound
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Uniform ensemble of the basis states a measuring receiver could see."""
-
-    probabilities: tuple[float, ...]
-    basis_indices: tuple[int, ...]
-    num_qubits: int
-
-    def projector(self, k: int) -> np.ndarray:
-        dim = 1 << self.num_qubits
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        rho[self.basis_indices[k], self.basis_indices[k]] = 1.0
-        return rho
-
-
-def build_price_ensemble(scenario: PriceScenario, owner: str = "alice") -> EnsembleSpec:
-    """Ensemble {1/N, |i>|price_i><price_i|<i|} of the announced state: one
-    member per basis index of its Step-1 support."""
-    state = prepare_announced_state(scenario, owner)
-    return EnsembleSpec(
-        probabilities=(1.0 / scenario.N,) * scenario.N,
-        basis_indices=tuple(state.indices.tolist()),
-        num_qubits=state.num_qubits,
-    )
-
-
 def holevo_bound(scenario: PriceScenario, owner: str = "alice") -> float:
     """Accessible-information cap, in bits, on the announced state.
 
     Computes S(rho) - (1/N) sum_i S(rho_i) term by term: the mixture entropy
     minus the average member entropy (zero for pure members, but evaluated
-    rather than assumed).  Distinct index values make the members orthogonal,
-    so the result equals log2(N) up to eigensolver precision.
+    rather than assumed).  The members are the projectors ``|x><x|`` onto
+    the basis indices x of the Step-1 support (``prepare_announced_state``),
+    each with weight 1/N.  Distinct index values make them orthogonal, so the
+    result equals log2(N) up to eigensolver precision.
     """
-    ens = build_price_ensemble(scenario, owner)
-    if ens.num_qubits > DENSITY_MATRIX_QUBIT_LIMIT:
+    state = prepare_announced_state(scenario, owner)
+    if state.num_qubits > DENSITY_MATRIX_QUBIT_LIMIT:
         raise CapacityError(
-            f"density matrix would span {ens.num_qubits} qubits; "
+            f"density matrix would span {state.num_qubits} qubits; "
             f"limit is {DENSITY_MATRIX_QUBIT_LIMIT}"
         )
-    dim = 1 << ens.num_qubits
+    dim = 1 << state.num_qubits
+    p = 1.0 / scenario.N
     rho = np.zeros((dim, dim), dtype=np.complex128)
     member_entropy = 0.0
-    for k, p in enumerate(ens.probabilities):
-        rho_k = ens.projector(k)
+    for index in state.indices.tolist():
+        rho_k = np.zeros((dim, dim), dtype=np.complex128)
+        rho_k[index, index] = 1.0
         member_entropy += p * von_neumann_entropy(rho_k)
         rho += p * rho_k
     return von_neumann_entropy(rho) - member_entropy

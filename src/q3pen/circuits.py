@@ -1,8 +1,8 @@
 """Reversible circuits for the negotiation protocol, and Steps 1-3 on them.
 
-Two builders cover the quantum side of the price comparison:
+Two oracles cover the quantum side of the price comparison:
 
-* ``build_price_oracle`` loads a party's price list into a register,
+* a ``PriceOracle`` loads a party's price list into a register,
   ``|i>|t> -> |i>|t XOR price_i>`` for index values 1..N (identity
   elsewhere, which keeps the operator unitary).
 * ``build_comparator`` writes ``a >= b`` into a flag qubit, restoring the
@@ -12,18 +12,18 @@ Two builders cover the quantum side of the price comparison:
   per (n, d, announcer) and shares it.
 
 Every oracle is a permutation of basis states, and ``images`` returns where
-each of an array of basis indices lands.  A price oracle is compiled to a
-table ``T`` of ``2**n`` entries, ``T[i] = price_i`` for i = 1..N and 0
-elsewhere (``price_table``; a ``PriceScenario`` compiles each role's list
-once, when it is built, and Steps 1-3 wrap that table), so its images are
-one gather, ``x ^ (T[index(x)] << offset)``, and it is its own inverse.
-It stands for one NOT per set price bit, controlled on the product's index;
-``len`` counts those gates, and nothing in the package builds them (the
-tests hold the gate list).  The comparator
-is a ``Circuit``: NOT gates with mixed-polarity controls, inverted by
-reversing the gate list, whose ``images`` run the gates in order (per gate,
-one compare against the control mask and value the gate computed when it
-was built, and one XOR into the target bit).  Applying an oracle to an
+each of an array of basis indices lands.  Price lists enter only through a
+``PriceScenario``, which compiles each role's list once, when it is built,
+to a table ``T`` of ``2**n`` entries, ``T[i] = price_i`` for i = 1..N and 0
+elsewhere (``price_table``).  A ``PriceOracle`` wraps that table, so its
+images are one gather, ``x ^ (T[index(x)] << offset)``, and it is its own
+inverse.  It stands for one NOT per set price bit, controlled on the
+product's index; ``len`` counts those gates, and nothing in the package
+builds them (the tests hold the gate list).  The comparator is a
+``Circuit``: NOT gates with mixed-polarity controls, inverted by reversing
+the gate list, whose ``images`` run the gates in order (per gate, one
+compare against the control mask and value the gate computed when it was
+built, and one XOR into the target bit).  Applying an oracle to an
 amplitude array moves only its support (the nonzero amplitudes) to their
 images, which is exact.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevec import ATOL_INPUT, Gate, RegisterLayout, StateVector, SupportState
+from .statevec import ATOL_INPUT, Gate, RegisterLayout, StateVector, SupportState, check_tolerance
 
 OTHER = {"alice": "bob", "bob": "alice"}
 REGISTER = {"alice": "priceA", "bob": "priceB"}
@@ -271,25 +271,6 @@ class PriceOracle:
     apply = Circuit.apply
 
 
-def build_price_oracle(prices, layout: RegisterLayout, target: str) -> PriceOracle:
-    """XOR-load a price list into ``target``, controlled on the index register.
-
-    Product i (1-based) occupies index value i; the list is compiled, in
-    O(N), to the oracle's table.  Index values 0 and > N are left untouched.
-    A scenario's lists are compiled once, when it is built, to
-    ``scenario.tables``; wrap those in a ``PriceOracle`` instead.
-    """
-    index = layout["index"]
-    tgt = layout[target]
-    prices = [int(p) for p in prices]
-    if len(prices) >= 1 << index.width:
-        raise ValueError(f"{len(prices)} products do not fit an index register of width {index.width}")
-    for price in prices:
-        if not 0 <= price < 1 << tgt.width:
-            raise ValueError(f"price {price} is not a {tgt.width}-bit unsigned integer")
-    return PriceOracle(price_table(np.array(prices, dtype=np.intp), index.width), layout, target)
-
-
 def build_comparator(d: int, layout: RegisterLayout) -> Circuit:
     """Flag <- flag XOR (priceA >= priceB), price registers restored.
 
@@ -368,8 +349,8 @@ def load_received_state(scenario: PriceScenario, announced_by: str,
     if state.num_qubits != width:
         raise ValueError(f"received a {state.num_qubits}-qubit state; the announcement has {width}")
     norm = float(np.linalg.norm(state.amplitudes))
-    if abs(norm - 1.0) > ATOL_INPUT:
-        raise ValueError(f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
+    check_tolerance(abs(norm - 1.0),
+                    f"received state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
     layout = comparison_layout(scenario, announced_by)
     receiver = OTHER[announced_by]
     oracle = PriceOracle(scenario.tables[receiver], layout, REGISTER[receiver])

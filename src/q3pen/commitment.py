@@ -34,6 +34,8 @@ PHASE_UNVEILED = "unveiled"
 PHASE_ACCEPT = "verified-accept"
 PHASE_REJECT = "verified-reject"
 
+CODE_SEARCH_TRIES = 20000  # random generators drawn before make_random_code gives up
+
 
 def _bits(value: int, n: int) -> np.ndarray:
     if not 0 <= value < 1 << n:
@@ -112,26 +114,32 @@ class CodeParams:
         return _in_window(self.codeword_weights(), self.m, self.delta_code)
 
 
-def make_random_code(n: int, c: float = 2.0, delta: float = 0.25, seed: int = 0,
-                     max_tries: int = 20000) -> CodeParams:
-    """Seeded random generator matrix, resampled until the distance window holds.
+def check_expansion(c: float) -> None:
+    """Refuse an expansion constant c = m/n that is not a finite number
+    above 1 (NaN included), before any length is computed from it."""
+    if not 1.0 < c < math.inf:
+        raise ValueError(f"expansion constant c must be a finite number above 1, got {c!r}")
+
+
+def make_random_code(n: int, c: float = 2.0, delta: float = 0.25, seed: int = 0) -> CodeParams:
+    """Seeded random generator matrix, resampled until the distance window
+    holds, at most ``CODE_SEARCH_TRIES`` times.
 
     The window also guarantees injectivity (no nonzero message may encode to
     weight zero).  Deterministic for a fixed seed.
     """
-    if c <= 1.0:
-        raise ValueError("expansion constant c must exceed 1")
+    check_expansion(c)
     m = int(round(c * n))
     if m <= n:
         raise ValueError(f"m = round(c*n) = {m} does not expand {n} message bits")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta_code must lie in (0, 1/2)")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(CODE_SEARCH_TRIES):
         g = rng.integers(0, 2, size=(n, m), dtype=np.uint8)
         if _in_window(_codeword_weights(g), m, delta):
             return CodeParams(n=n, m=m, generator=g, delta_code=delta)
-    raise RuntimeError(f"no [{m},{n}] code with distance window {delta} in {max_tries} tries")
+    raise RuntimeError(f"no [{m},{n}] code with distance window {delta} in {CODE_SEARCH_TRIES} tries")
 
 
 def parity_repetition_code(n: int) -> CodeParams:

@@ -60,7 +60,8 @@ import numpy as np
 
 from . import circuits
 from .circuits import OTHER, REGISTER, PriceScenario
-from .statevec import ATOL_INPUT, CapacityError, StateVector, SupportState, sample_outcomes
+from .statevec import (ATOL_INPUT, CapacityError, StateVector, SupportState, check_tolerance,
+                       sample_outcomes)
 
 # The largest phase register counted: the distribution and the CDF its
 # shots are drawn through are two 2**t float64 arrays (16 << t bytes, 32 MiB
@@ -77,7 +78,12 @@ def _check_t(t: int) -> None:
 
 @dataclass(frozen=True)
 class CountingParams:
-    """Phase-estimation knobs: precision qubits, shots, and the seed."""
+    """Phase-estimation knobs: precision qubits, shots, and the seed.
+
+    ``rng_seed`` seeds a direct ``quantum_count`` call only: a negotiation
+    (``protocol.run_negotiation``, ``run_with_adversary``) seeds each count
+    from its master seed and ignores it.
+    """
 
     t: int = 6
     shots: int = 11
@@ -248,8 +254,8 @@ def phase_register_distribution(scenario: PriceScenario, t: int,
     amps = held.amplitudes
     marked, unmarked = np.linalg.norm(amps[flagged]), np.linalg.norm(amps[~flagged])
     norm = math.hypot(marked, unmarked)
-    if abs(norm - 1.0) > ATOL_INPUT:
-        raise ValueError(f"held state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
+    check_tolerance(abs(norm - 1.0),
+                    f"held state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
     size, half = 1 << t, 1 << (t - 1)
     # Q turns the plane by pi - 2 theta, tan(theta) = ||flagged|| / ||unflagged||;
     # x is that angle in outcome units, r the outcome nearest to it

@@ -167,8 +167,8 @@ class NegotiationTranscript:
             "adversary": self.adversary,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def transcript_costs(transcript: NegotiationTranscript) -> CostSummary:
@@ -220,7 +220,13 @@ def run_negotiation(scenario: PriceScenario,
                     params: CountingParams = CountingParams(),
                     code: CodeParams | None = None,
                     master_seed: int = 42) -> NegotiationTranscript:
-    """Honest end-to-end run; deterministic for a fixed master seed."""
+    """Honest end-to-end run; deterministic for a fixed master seed.
+
+    Every draw comes from ``master_seed`` (``negotiation_seeds``): each
+    party's count is seeded with its ``count_*`` child seed, so
+    ``params.rng_seed`` has no effect on a negotiation, here or in
+    ``run_with_adversary``.
+    """
     return _run(scenario, params, code, master_seed)
 
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   state ``|x>`` lives at position ``x`` of the amplitude array, and a
   register segment ``[offset, offset + width)`` holds the integer value
   ``(x >> offset) & (2**width - 1)``.
-* Input validation uses a tolerance of 1e-8 (``ATOL_INPUT``).  A NOT gate
+* Input validation uses a tolerance of 1e-8 (``ATOL_INPUT``), checked in
+  one place, ``check_tolerance``, which refuses NaN as well.  A NOT gate
   permutes amplitudes exactly, so gates and circuits need no tolerance of
   their own.
 
@@ -36,6 +37,13 @@ INDEX_BITS = np.iinfo(np.intp).bits - 1  # basis indices are non-negative np.int
 
 class CapacityError(RuntimeError):
     """A requested simulation exceeds what the simulator can represent."""
+
+
+def check_tolerance(deviation: float, message: str) -> None:
+    """Raise ``ValueError(message)`` unless ``deviation`` is at most
+    ``ATOL_INPUT``.  NaN compares false to everything, so it is refused."""
+    if not deviation <= ATOL_INPUT:
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +118,8 @@ class StateVector:
                 f"got shape {amplitudes.shape}"
             )
         norm = float(np.linalg.norm(amplitudes))
-        if abs(norm - 1.0) > ATOL_INPUT:
-            raise ValueError(f"state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
+        check_tolerance(abs(norm - 1.0),
+                        f"state norm {norm} deviates from 1 by more than {ATOL_INPUT}")
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
 
@@ -244,11 +252,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > ATOL_INPUT:
-        raise ValueError("density matrix is not Hermitian within 1e-8")
+    check_tolerance(np.max(np.abs(rho - rho.conj().T)),
+                    "density matrix is not Hermitian within 1e-8")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > ATOL_INPUT:
-        raise ValueError(f"density matrix trace {trace} is not 1 within 1e-8")
+    check_tolerance(abs(trace - 1.0), f"density matrix trace {trace} is not 1 within 1e-8")
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     evals = np.linalg.eigvalsh(rho[np.ix_(support, support)])

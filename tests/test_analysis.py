@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from q3pen.analysis import (
-    build_price_ensemble,
     cost_table,
     cost_table_csv,
     detection_curve,
@@ -42,15 +41,6 @@ def test_holevo_bound_capacity_guard():
     sc = PriceScenario(A=(1023,) * 100, B=(0,) * 100, epsilon=1)  # n + d = 17
     with pytest.raises(CapacityError):
         holevo_bound(sc)
-
-
-def test_price_ensemble_structure(worked_example):
-    ens = build_price_ensemble(worked_example, "alice")
-    assert sum(ens.probabilities) == pytest.approx(1.0)
-    assert len(set(ens.basis_indices)) == 6
-    p0 = ens.projector(0)
-    assert np.trace(p0) == pytest.approx(1.0)
-    assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12  # rank-1 projector
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +124,9 @@ def test_detection_curve_monotone_in_n_and_c():
 
 
 def test_detection_curve_rejects_bad_c():
-    with pytest.raises(ValueError):
-        detection_curve(1.0, [3])
-    with pytest.raises(ValueError):
-        detection_curve(0.5, [3])
+    for c in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            detection_curve(c, [3])
 
 
 def test_detection_csv_format():

@@ -8,13 +8,12 @@ from conftest import random_scenario
 from helpers import ancillas_clean, basis_component, dense_circuit_matrix, prepare_amplitudes
 from q3pen.circuits import (
     OTHER,
-    REGISTER,
+    PriceOracle,
     PriceScenario,
     announcement_layout,
     as_int,
     brute_force_count,
     build_comparator,
-    build_price_oracle,
     classical_f,
     comparison_layout,
     flag_oracle,
@@ -117,10 +116,8 @@ def test_scenario_compiles_each_price_list_once(worked_example):
         assert table.dtype == np.intp and not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 0
-        for layout in (announcement_layout(worked_example, role),
-                       comparison_layout(worked_example, role)):
-            oracle = build_price_oracle(worked_example.prices(role), layout, REGISTER[role])
-            assert np.array_equal(table, oracle.table)
+        # index values 1..6 hold the prices; 0 and 7 (> N) hold 0
+        assert table.tolist() == [0, *worked_example.prices(role), 0]
     # every oracle wraps the scenario's own arrays: nothing is copied or rebuilt
     for _ in range(2):
         for announced_by in ("alice", "bob"):
@@ -160,7 +157,7 @@ def uniform_index_state(layout, N):
 
 def test_price_oracle_loads_worked_example_components(worked_example):
     layout = announcement_layout(worked_example, "alice")
-    oracle = build_price_oracle(worked_example.A, layout, "priceA")
+    oracle = PriceOracle(worked_example.tables["alice"], layout, "priceA")
     state = oracle.apply(uniform_index_state(layout, 6))
     # component |1>|3> and friends each at amplitude 1/sqrt(6)
     for i, a in enumerate(worked_example.A, start=1):
@@ -172,7 +169,7 @@ def test_price_oracle_loads_worked_example_components(worked_example):
 def test_price_oracle_with_zero_prices_is_identity():
     sc = PriceScenario(A=(0, 0, 0), B=(0, 0, 0), epsilon=1)
     layout = announcement_layout(sc, "alice")
-    oracle = build_price_oracle(sc.A, layout, "priceA")
+    oracle = PriceOracle(sc.tables["alice"], layout, "priceA")
     assert len(oracle) == 0
     rng = np.random.default_rng(0)
     state = prepare_amplitudes(layout.num_qubits,
@@ -184,7 +181,7 @@ def test_price_oracle_applied_twice_is_identity():
     # XOR loads are involutions; verified against the dense matrix
     sc = PriceScenario(A=(3, 1, 2, 0), B=(1, 1, 1, 1), epsilon=1)
     layout = announcement_layout(sc, "alice")
-    oracle = build_price_oracle(sc.A, layout, "priceA")
+    oracle = PriceOracle(sc.tables["alice"], layout, "priceA")
     mat = np.eye(1 << layout.num_qubits, dtype=np.complex128)
     for column in mat.T:  # column x becomes the image of |x>
         oracle.apply_to_array(column)
@@ -194,17 +191,10 @@ def test_price_oracle_applied_twice_is_identity():
 def test_price_oracle_identity_outside_index_range():
     sc = PriceScenario(A=(3, 2), B=(1, 1), epsilon=1)
     layout = announcement_layout(sc, "alice")
-    oracle = build_price_oracle(sc.A, layout, "priceA")
+    oracle = PriceOracle(sc.tables["alice"], layout, "priceA")
     for idx in (0, 3):  # index 0 and index > N
         s = oracle.apply(prepare_basis(layout.num_qubits, idx))
         assert np.allclose(s.amplitudes, np.eye(s.dim)[idx])
-
-
-def test_price_oracle_rejects_wide_prices():
-    sc = PriceScenario(A=(3, 2), B=(1, 1), epsilon=1)
-    layout = announcement_layout(sc, "alice")
-    with pytest.raises(ValueError):
-        build_price_oracle((9, 1), layout, "priceA")  # 9 needs 4 bits, d = 2
 
 
 def test_price_oracle_matches_classical_xor_map():
@@ -212,7 +202,7 @@ def test_price_oracle_matches_classical_xor_map():
     # the classical map (i, t) -> (i, t ^ price_i)
     sc = PriceScenario(A=(2, 3, 1), B=(0, 0, 0), epsilon=1)
     layout = announcement_layout(sc, "alice")
-    oracle = build_price_oracle(sc.A, layout, "priceA")
+    oracle = PriceOracle(sc.tables["alice"], layout, "priceA")
     n, d = layout["index"].width, layout["priceA"].width
     for i in range(1 << n):
         for t in range(1 << d):

@@ -88,6 +88,10 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     (dict(WORKED_EXAMPLE, commitment={"c": "2"}), "commitment.c must be a number"),
     (dict(WORKED_EXAMPLE, seed=4.2), "seed must be an integer"),
     (dict(WORKED_EXAMPLE, seed=-3), "seed must be non-negative, got -3"),
+    (dict(WORKED_EXAMPLE, commitment={"c": float("inf")}),
+     "expansion constant c must be a finite number above 1, got inf"),
+    (dict(WORKED_EXAMPLE, commitment={"c": float("nan")}),
+     "expansion constant c must be a finite number above 1, got nan"),
 ])
 def test_run_rejects_non_integer_and_non_object_fields(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -254,6 +258,13 @@ def test_detect_csv(capsys):
 def test_detect_rejects_c_at_most_one(capsys):
     code, _, err = run_cli(capsys, "detect", "--c", "1.0", "--n-max", "3")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_detect_rejects_a_non_finite_c(capsys, c):
+    code, out, err = run_cli(capsys, "detect", "--c", c, "--n-max", "3")
+    assert code == 2 and out == ""
+    assert f"expansion constant c must be a finite number above 1, got {c}" in err
 
 
 # ---------------------------------------------------------------------------

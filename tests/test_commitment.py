@@ -59,8 +59,9 @@ def test_code_generators_are_pinned():
 
 
 def test_random_code_rejects_non_expanding():
-    with pytest.raises(ValueError):
-        make_random_code(3, c=1.0)
+    for c in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            make_random_code(3, c=c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])

@@ -248,6 +248,13 @@ def test_held_state_norm_is_checked(worked_example):
         phase_register_distribution(worked_example, 6, held=scaled)
 
 
+def test_held_state_with_nan_amplitudes_is_refused(worked_example):
+    held = honest_held_state(worked_example)
+    held.amplitudes[0] = np.nan
+    with pytest.raises(ValueError, match="held state norm nan deviates"):
+        quantum_count(worked_example, held=held)
+
+
 def fejer(delta, t):
     """The Fejer kernel ``|2**-t sum_k exp(2 pi i k delta / 2**t)|**2``."""
     size = 1 << t

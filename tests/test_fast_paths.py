@@ -32,9 +32,9 @@ from helpers import (
 )
 from q3pen.circuits import (
     Circuit,
+    PriceOracle,
     PriceScenario,
     announcement_layout,
-    build_price_oracle,
     comparison_layout,
     load_received_state,
     prepare_announced_state,
@@ -103,7 +103,7 @@ def test_price_oracle_table_matches_its_gates(scenario, announced_by, seed):
     cases += [(comparison_layout(scenario, announced_by), who) for who in (announced_by, receiver)]
     for layout, owner in cases:
         prices, target = (scenario.A, "priceA") if owner == "alice" else (scenario.B, "priceB")
-        oracle = build_price_oracle(prices, layout, target)
+        oracle = PriceOracle(scenario.tables[owner], layout, target)
         gates = reference_price_gates(prices, layout, target)
         assert len(oracle) == len(gates)
         # every basis index: index 0 and values above N, any target bits set

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_transcript_deterministic_per_seed(worked_example):
     assert a != c
 
 
+def test_counting_params_seed_does_not_reach_a_negotiation(worked_example):
+    # each count is seeded from the master seed, so params.rng_seed changes nothing
+    for run in (run_negotiation,
+                lambda *args, **kwargs: run_with_adversary(worked_example, "bob", "false-unveil",
+                                                           *args[1:], **kwargs)):
+        jsons = {run(worked_example, replace(PARAMS, rng_seed=seed), master_seed=7).to_json()
+                 for seed in (1, 2)}
+        assert len(jsons) == 1
+
+
 def test_transcript_timings_recorded(worked_example, monkeypatch):
     tr = run_negotiation(worked_example, PARAMS, master_seed=1)
     assert set(tr.timings) == {1, 2, 3, 4, 5, 6}
@@ -105,7 +116,7 @@ def test_negotiation_builds_each_circuit_once(worked_example, monkeypatch):
     # The flag oracle (the comparator) of each announcer is built once per
     # register shape, and no gate is built to load prices.
     calls = Counter()
-    for name in ("price_table", "build_price_oracle", "build_comparator"):
+    for name in ("price_table", "build_comparator"):
         def counted(*args, _name=name, _build=getattr(circuits, name), **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -145,7 +156,7 @@ def test_collapsed_state_is_not_counted(worked_example, monkeypatch, cheater):
     monkeypatch.setattr(counting, "quantum_count", counted)
     calls = Counter()
     for module, name in ((protocol, "load_received_state"), (protocol, "write_comparison_flag"),
-                         (circuits, "price_table"), (circuits, "build_price_oracle")):
+                         (circuits, "price_table")):
         def called(*args, _name=name, _call=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
@@ -197,6 +208,13 @@ def test_received_state_is_checked(worked_example):
             PriceScenario(A=(9,), B=(1,), epsilon=1), "alice"))
     state.amplitudes[state.amplitudes != 0] *= 2.0
     with pytest.raises(ValueError, match="norm"):
+        load_received_state(worked_example, "alice", state)
+
+
+def test_received_state_with_nan_amplitudes_is_refused(worked_example):
+    state = prepare_announced_state(worked_example, "alice")
+    state.amplitudes[0] = np.nan
+    with pytest.raises(ValueError, match="received state norm nan deviates"):
         load_received_state(worked_example, "alice", state)
 
 

@@ -283,6 +283,22 @@ def test_entropy_validates_input():
         von_neumann_entropy(np.eye(2))  # trace 2
 
 
+def test_entropy_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        von_neumann_entropy(np.full((2, 2), np.nan))
+
+
+def test_entropy_rejects_a_nan_trace():
+    # a real diagonal, so Hermitian, whose trace is NaN: numpy sums it in
+    # interleaved partial sums, one overflowing to +inf and one to -inf
+    big = np.finfo(np.float64).max
+    rho = np.diag([big, -big] * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.trace(rho.astype(np.complex128)))
+        with pytest.raises(ValueError, match="trace .* is not 1"):
+            von_neumann_entropy(rho)
+
+
 def test_entropy_bounds_for_random_density_matrices():
     rng = np.random.default_rng(5)
     q = 3
@@ -353,3 +369,8 @@ def test_extend_with_zeros_keeps_amplitudes():
 def test_statevector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+
+
+def test_statevector_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="state norm nan deviates"):
+        StateVector(1, np.array([np.nan, 0.0]))
